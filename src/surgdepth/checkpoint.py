@@ -8,6 +8,9 @@ Layout:
     <binary blob>
 """
 
+import math
+import os
+
 import numpy as np
 
 from .errors import ConfigError, FormatError
@@ -35,29 +38,38 @@ def save_checkpoint(path, state):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint: name -> fresh, writable float32 array.
+
+    Each parameter is read straight into its own array, so the payload
+    is copied once, however large the model.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
-        raise FormatError(f"{path}: bad magic header", offset=0)
-    body = blob[len(MAGIC):]
-    sep = body.find(b"\n\n")
-    if sep < 0:
-        raise FormatError(f"{path}: manifest not terminated", offset=len(MAGIC))
-    manifest, payload = body[:sep + 1], body[sep + 2:]
-    state = {}
-    for line in manifest.decode("ascii").splitlines():
-        try:
-            name, dims, off = line.split()
-            shape = tuple(int(d) for d in dims.split(","))
-            off = int(off)
-        except ValueError:
-            raise FormatError(f"{path}: malformed manifest line {line!r}") from None
-        count = int(np.prod(shape))
-        raw = payload[off:off + 4 * count]
-        if len(raw) != 4 * count:
-            raise FormatError(f"{path}: truncated buffer for {name}",
-                              offset=len(MAGIC) + sep + 2 + off)
-        state[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise FormatError(f"{path}: bad magic header", offset=0)
+        manifest = []
+        for line in iter(fh.readline, b"\n"):
+            if not line.endswith(b"\n"):
+                raise FormatError(f"{path}: manifest not terminated", offset=len(MAGIC))
+            manifest.append(line)
+        base = fh.tell()
+        payload_size = os.fstat(fh.fileno()).st_size - base
+        state = {}
+        for line in manifest:
+            try:
+                name, dims, off = line.decode("ascii").split()
+                shape = tuple(int(d) for d in dims.split(","))
+                off = int(off)
+            except ValueError:  # UnicodeDecodeError included
+                raise FormatError(f"{path}: malformed manifest line {line!r}") from None
+            if off < 0 or min(shape) < 0:
+                raise FormatError(f"{path}: negative offset or dimension in {line!r}")
+            if off + 4 * math.prod(shape) > payload_size:
+                raise FormatError(f"{path}: truncated buffer for {name}", offset=base + off)
+            arr = np.empty(shape, dtype="<f4")
+            fh.seek(base + off)
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"{path}: truncated buffer for {name}", offset=base + off)
+            state[name] = arr
     return state
 
 

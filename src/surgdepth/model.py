@@ -134,7 +134,7 @@ class Model:
         for name, arr in state.items():
             if tuple(arr.shape) != tuple(own[name].shape):
                 raise ConfigError(f"shape mismatch for {name}: {arr.shape} vs {own[name].shape}")
-            own[name].data = arr.astype(own[name].dtype).copy()
+            own[name].data = arr.astype(own[name].dtype)
 
 
 def build_model(cfg, dtype=np.float32):

@@ -4,14 +4,18 @@ Tensors wrap a flat row-major numpy buffer (float32 by default, float64
 supported for verification work). Every differentiable op records its
 inputs and a vector-Jacobian product on the output tensor; ``backward``
 replays the implicit tape in reverse topological order. The tape is
-rebuilt on every forward pass (define-by-run).
+rebuilt on every forward pass (define-by-run); inside ``no_grad()`` no
+tape is recorded at all.
 
-Reductions inside matmul / conv2d / pooling accumulate in float64 even
-when the storage dtype is float32, so oracle comparisons stay tight.
+matmul multiplies in the result dtype of its operands, so float32 models
+run float32 GEMMs and float64 models (gradient checks) stay float64.
+Only conv2d, pooling and bilinear_resize accumulate in float64 even when
+the storage dtype is float32, so their oracle comparisons stay tight.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 
@@ -25,6 +29,25 @@ from .errors import NumericError, ShapeError, UsageError
 _SABOTAGE = None
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+# False inside ``no_grad()``: op outputs then record no parents and no VJP.
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the tape (evaluation and inference).
+
+    Outputs keep their values bit for bit but never require grad, so the
+    inputs of each op can be freed as soon as the forward moves on.
+    """
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -47,7 +70,7 @@ class Tensor:
     @classmethod
     def _from_op(cls, data, parents, vjp):
         out = cls(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
@@ -269,15 +292,15 @@ def matmul(a, b):
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading dims disagree: {a.shape} @ {b.shape}")
     dtype = np.result_type(a.dtype, b.dtype)
-    out = np.matmul(a.data.astype(np.float64), b.data.astype(np.float64))
+    out = np.matmul(a.data, b.data)
 
     def vjp(g):
-        g64 = g.astype(np.float64)
-        da = np.matmul(g64, np.swapaxes(b.data, -1, -2).astype(np.float64))
-        db = np.matmul(np.swapaxes(a.data, -1, -2).astype(np.float64), g64)
-        return da.astype(a.dtype), db.astype(b.dtype)
+        g = g.astype(dtype, copy=False)
+        da = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        db = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return da.astype(a.dtype, copy=False), db.astype(b.dtype, copy=False)
 
-    return Tensor._from_op(out.astype(dtype), (a, b), vjp)
+    return Tensor._from_op(out, (a, b), vjp)
 
 
 def softmax(x, axis=-1):
@@ -443,12 +466,12 @@ def bilinear_resize(x, h_out, w_out):
         raise ShapeError("output size must be positive")
     r = _interp_matrix(h, h_out, np.float64)
     s = _interp_matrix(w, w_out, np.float64)
-    out = np.einsum("ab,cbd,ed->cae", r, x.data.astype(np.float64), s)
+    out = r @ x.data.astype(np.float64) @ s.T
     if _SABOTAGE == "bilinear_resize":
         out = out + 1e-3
 
     def vjp(g):
-        dx = np.einsum("ab,cae,ed->cbd", r, g.astype(np.float64), s)
+        dx = r.T @ g.astype(np.float64) @ s
         return (dx.astype(x.dtype),)
 
     return Tensor._from_op(out.astype(x.dtype), (x,), vjp)

@@ -34,10 +34,11 @@ class TrainResult:
 
 def evaluate(model, samples, baseline_rgb_only=False):
     acc = ConfusionAccumulator(model.cfg.num_classes)
-    for s in samples:
-        logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
-        pred = logits.data.argmax(axis=0).astype(np.int32)
-        acc.add(pred, s.label)
+    with T.no_grad():
+        for s in samples:
+            logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
+            pred = logits.data.argmax(axis=0).astype(np.int32)
+            acc.add(pred, s.label)
     return acc.report()
 
 

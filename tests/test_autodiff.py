@@ -41,6 +41,23 @@ def test_detached_graph_warns():
         T.backward(x)
 
 
+def _taped(x):
+    return T.mul(x, 2.0).requires_grad
+
+
+def test_no_grad_restored_after_exception_and_nesting():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("boom")
+    assert _taped(x)
+    with T.no_grad():
+        with T.no_grad():
+            assert not _taped(x)
+        assert not _taped(x)
+    assert _taped(x)
+
+
 def test_grad_check_quadratic_exact():
     x = T.Tensor(make_rng(2).normal(size=(4,)), requires_grad=True)
     rep = grad_check(lambda: T.sum_(T.mul(x, x)), [("x", x)], tol=1e-6)

@@ -60,6 +60,36 @@ def test_truncated_payload_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_loaded_arrays_are_writable(tmp_path):
+    path = tmp_path / "ckpt.srgd"
+    save_checkpoint(path, {"a": np.arange(6, dtype=np.float32).reshape(2, 3),
+                           "b": np.ones(4, np.float32)})
+    for arr in load_checkpoint(path).values():
+        assert arr.flags.writeable
+        arr += 1.0
+
+
+def _two_param_file(path, manifest):
+    """A checkpoint whose payload holds a = 0..3 then b = 4..7."""
+    payload = np.arange(8, dtype="<f4").tobytes()
+    path.write_bytes(MAGIC + manifest + b"\n" + payload)
+
+
+def test_negative_offset_rejected(tmp_path):
+    # Counted from the payload's end, -32 lands on a's bytes.
+    path = tmp_path / "neg.srgd"
+    _two_param_file(path, b"a 4 0\nb 4 -32\n")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_non_ascii_manifest_rejected(tmp_path):
+    path = tmp_path / "latin1.srgd"
+    _two_param_file(path, b"a 4 0\nb\xe9 4 16\n")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
 def test_model_round_trip(tmp_path):
     model = build_model(_toy_cfg(seed=3))
     path = tmp_path / "model.srgd"

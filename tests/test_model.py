@@ -91,6 +91,18 @@ def test_state_dict_round_trip():
     np.testing.assert_array_equal(src(rgb, depth).data, dst(rgb, depth).data)
 
 
+def test_load_state_dict_does_not_alias_caller_arrays():
+    cfg = _toy_cfg()
+    model = build_model(cfg)
+    state = build_model(_toy_cfg(seed=1)).state_dict()
+    model.load_state_dict(state)
+    rgb, depth = _inputs(cfg)
+    before = model(rgb, depth).data
+    for arr in state.values():
+        arr += 1.0
+    np.testing.assert_array_equal(model(rgb, depth).data, before)
+
+
 def test_load_state_dict_rejects_mismatch():
     src = build_model(_toy_cfg(decoder_blocks=2))
     dst = build_model(_toy_cfg())

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from surgdepth import tensor as T
 from surgdepth.checkpoint import load_checkpoint
 from surgdepth.data import SceneSpec, generate_dataset
 from surgdepth.errors import NumericError
-from surgdepth.model import ModelConfig, build_model, param_count
+from surgdepth.losses import cross_entropy_loss
+from surgdepth.model import Model, ModelConfig, build_model, param_count
 from surgdepth.train import (DECODER_DEPTH_REFERENCE, ablate_decoder_depth,
                              ablate_decoder_input, evaluate, train)
 
@@ -97,6 +99,48 @@ def test_evaluate_returns_bounded_miou():
     rep = evaluate(model, _samples())
     assert 0.0 <= rep.mean_iou <= 1.0
     assert 0.0 <= rep.pixel_accuracy <= 1.0
+
+
+def _evaluate_logits(monkeypatch, model, samples):
+    """Run evaluate() and keep the logits of each of its forwards."""
+    seen = []
+    forward = Model.__call__
+
+    def call(self, *args, **kwargs):
+        seen.append(forward(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(Model, "__call__", call)
+    evaluate(model, samples)
+    monkeypatch.undo()
+    return seen
+
+
+def test_evaluate_builds_no_tape(monkeypatch):
+    model = build_model(_toy_cfg())
+    logits = _evaluate_logits(monkeypatch, model, _samples(2))
+    assert len(logits) == 2
+    for out in logits:
+        assert not out.requires_grad and out._parents == () and out._vjp is None
+
+
+def test_evaluate_logits_match_taped_forward(monkeypatch):
+    model = build_model(_toy_cfg())
+    samples = _samples(2)
+    untaped = _evaluate_logits(monkeypatch, model, samples)
+    for s, out in zip(samples, untaped):
+        taped = model(s.rgb, s.depth)
+        assert taped.requires_grad
+        np.testing.assert_array_equal(out.data, taped.data)
+
+
+def test_train_step_after_evaluate_fills_every_grad():
+    model = build_model(_toy_cfg())
+    s = _samples(1)[0]
+    evaluate(model, [s])
+    T.backward(cross_entropy_loss(model(s.rgb, s.depth), s.label))
+    for name, p in model.named_parameters():
+        assert p.grad is not None, name
 
 
 def test_ablate_decoder_depth_rows():
