@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import FormatError
 
 MAGIC = b"SRGD0001\n"
 
@@ -37,6 +37,52 @@ def save_checkpoint(path, state):
             fh.write(c)
 
 
+def _read_manifest(fh, path):
+    """Parse and check the header of a checkpoint open at its start.
+
+    Returns ([(name, shape, offset)], payload file offset). Every buffer
+    lies inside the payload, no two overlap and no name repeats.
+    """
+    if fh.read(len(MAGIC)) != MAGIC:
+        raise FormatError(f"{path}: bad magic header", offset=0)
+    lines = []
+    for line in iter(fh.readline, b"\n"):
+        if not line.endswith(b"\n"):
+            raise FormatError(f"{path}: manifest not terminated", offset=len(MAGIC))
+        lines.append(line)
+    base = fh.tell()
+    payload_size = os.fstat(fh.fileno()).st_size - base
+    entries = []
+    for line in lines:
+        try:
+            name, dims, off = line.decode("ascii").split()
+            shape = tuple(int(d) for d in dims.split(","))
+            off = int(off)
+        except ValueError:  # UnicodeDecodeError included
+            raise FormatError(f"{path}: malformed manifest line {line!r}") from None
+        if off < 0 or min(shape) < 0:
+            raise FormatError(f"{path}: negative offset or dimension in {line!r}")
+        if off + 4 * math.prod(shape) > payload_size:
+            raise FormatError(f"{path}: truncated buffer for {name}", offset=base + off)
+        entries.append((name, shape, off))
+    if len({name for name, _, _ in entries}) != len(entries):
+        raise FormatError(f"{path}: a parameter name repeats in the manifest")
+    extents = sorted((off, off + 4 * math.prod(shape), name)
+                     for name, shape, off in entries if math.prod(shape))
+    for (_, end, a), (start, _, b) in zip(extents, extents[1:]):
+        if start < end:
+            raise FormatError(f"{path}: buffers of {a} and {b} overlap", offset=base + start)
+    return entries, base
+
+
+def _read_buffer(fh, path, base, name, off, arr):
+    """Fill the C-contiguous float32 ``arr`` from payload offset ``off``."""
+    fh.seek(base + off)
+    if fh.readinto(arr) != arr.nbytes:
+        raise FormatError(f"{path}: truncated buffer for {name}", offset=base + off)
+    return arr
+
+
 def load_checkpoint(path):
     """Read a checkpoint: name -> fresh, writable float32 array.
 
@@ -44,33 +90,9 @@ def load_checkpoint(path):
     is copied once, however large the model.
     """
     with open(path, "rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise FormatError(f"{path}: bad magic header", offset=0)
-        manifest = []
-        for line in iter(fh.readline, b"\n"):
-            if not line.endswith(b"\n"):
-                raise FormatError(f"{path}: manifest not terminated", offset=len(MAGIC))
-            manifest.append(line)
-        base = fh.tell()
-        payload_size = os.fstat(fh.fileno()).st_size - base
-        state = {}
-        for line in manifest:
-            try:
-                name, dims, off = line.decode("ascii").split()
-                shape = tuple(int(d) for d in dims.split(","))
-                off = int(off)
-            except ValueError:  # UnicodeDecodeError included
-                raise FormatError(f"{path}: malformed manifest line {line!r}") from None
-            if off < 0 or min(shape) < 0:
-                raise FormatError(f"{path}: negative offset or dimension in {line!r}")
-            if off + 4 * math.prod(shape) > payload_size:
-                raise FormatError(f"{path}: truncated buffer for {name}", offset=base + off)
-            arr = np.empty(shape, dtype="<f4")
-            fh.seek(base + off)
-            if fh.readinto(arr) != arr.nbytes:
-                raise FormatError(f"{path}: truncated buffer for {name}", offset=base + off)
-            state[name] = arr
-    return state
+        entries, base = _read_manifest(fh, path)
+        return {name: _read_buffer(fh, path, base, name, off, np.empty(shape, "<f4"))
+                for name, shape, off in entries}
 
 
 def save_model(path, model):
@@ -78,9 +100,28 @@ def save_model(path, model):
 
 
 def load_model(path, model):
-    state = load_checkpoint(path)
-    try:
-        model.load_state_dict(state)
-    except ConfigError:
-        raise
+    """Read a checkpoint straight into ``model``'s own parameter arrays.
+
+    The whole manifest is checked against the file and the model before
+    any parameter is written (FormatError, ConfigError). Float32
+    parameters are read in place; other dtypes go through one staging
+    buffer. No state dict is built, and the model's deferred init never
+    runs.
+    """
+    with open(path, "rb") as fh:
+        entries, base = _read_manifest(fh, path)
+        offsets = {name: off for name, _, off in entries}
+        staging = np.empty(0, "<f4")
+
+        def write(name, dst):
+            nonlocal staging
+            if dst.dtype == staging.dtype and dst.flags.c_contiguous:
+                _read_buffer(fh, path, base, name, offsets[name], dst)
+                return
+            if staging.size < dst.size:
+                staging = np.empty(dst.size, "<f4")
+            buf = staging[:dst.size].reshape(dst.shape)
+            dst[...] = _read_buffer(fh, path, base, name, offsets[name], buf)
+
+        model.load_parameters({name: shape for name, shape, _ in entries}, write)
     return model

@@ -5,7 +5,8 @@ Config precedence: built-in defaults < config file (key=value lines,
 # comments) < command-line flags.
 
 Exit codes: 0 success, 1 verification failure, 2 numeric abort,
-3 config/checkpoint mismatch, 64 usage error.
+3 config/checkpoint mismatch, 64 usage error, 65 bad input data
+(FormatError or DataError from a checkpoint or dataset).
 """
 
 import argparse
@@ -20,7 +21,7 @@ import numpy as np
 from .checkpoint import load_model, save_model
 from .data import (SceneSpec, generate_dataset, load_dataset,
                    rgb_ambiguous_fraction, write_dataset)
-from .errors import ConfigError, NumericError, UsageError
+from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
 from .model import ModelConfig, build_model, full_vitb_config, param_count
 from .train import (REFERENCE_NOTE, ablate_decoder_depth, ablate_decoder_input,
                     evaluate, train)
@@ -31,6 +32,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_NUMERIC = 2
 EXIT_MISMATCH = 3
 EXIT_USAGE = 64
+EXIT_DATA = 65  # EX_DATAERR
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,6 +301,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (FormatError, DataError) as exc:
+        print(f"bad input file: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

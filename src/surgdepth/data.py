@@ -255,6 +255,8 @@ def _read_pnm(path, expect_magic):
         w, h, maxval = int(token()), int(token()), int(token())
     except ValueError:
         raise FormatError(f"{path}: malformed header integer", offset=pos) from None
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"{path}: maxval {maxval} outside 1..65535", offset=pos)
     pos += 1  # single whitespace byte after maxval
     channels = 3 if expect_magic == "P6" else 1
     itemsize = 2 if maxval > 255 else 1

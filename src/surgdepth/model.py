@@ -10,7 +10,7 @@ from .decoder import Decoder
 from .encoder import Encoder, PatchEmbed
 from .errors import ConfigError, ShapeError
 from .fusion import FusionBlock, TokenGrid
-from .rng import make_rng
+from .rng import DeferredInit, make_rng
 
 DECODER_INPUTS = ("rgb_only", "rgb_and_depth")
 
@@ -68,11 +68,21 @@ def full_vitb_config(decoder_input="rgb_only"):
 
 
 class Model:
+    """RGB and depth patch embeddings, fusion block, ViT encoder, decoder.
+
+    Weights are drawn on first use. The build records every random init;
+    the first ``forward``, ``named_parameters``/``parameters`` or
+    ``state_dict`` replays the records from ``make_rng(cfg.seed)``, which
+    gives the same values, bit for bit, as drawing them during the build.
+    A load that replaces every parameter before that (``load_state_dict``,
+    ``checkpoint.load_model``) drops the records, so those draws never run.
+    """
+
     def __init__(self, cfg, dtype=np.float32):
         cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
-        rng = make_rng(cfg.seed)
+        self._init = rng = DeferredInit()
         c = cfg.embed_dim
         self.patch_embed_rgb = PatchEmbed(3, c, cfg.patch, rng=rng, dtype=dtype)
         self.patch_embed_depth = PatchEmbed(1, c, cfg.patch, rng=rng, dtype=dtype)
@@ -90,6 +100,7 @@ class Model:
         baseline_rgb_only zeroes the depth input and feeds the RGB grid
         twice to the fusion query: the depth-blind control model.
         """
+        self._materialize()
         cfg = self.cfg
         rgb = T.as_tensor(np.asarray(rgb, dtype=self.dtype))
         depth = T.as_tensor(np.asarray(depth, dtype=self.dtype))
@@ -112,7 +123,16 @@ class Model:
 
     __call__ = forward
 
+    def _materialize(self):
+        if self._init.draws:
+            self._init.replay(make_rng(self.cfg.seed))
+
     def named_parameters(self):
+        self._materialize()
+        yield from self._named_parameters()
+
+    def _named_parameters(self):
+        """(name, Tensor) pairs without drawing the deferred init."""
         yield from self.patch_embed_rgb.named_parameters("patch_embed_rgb.")
         yield from self.patch_embed_depth.named_parameters("patch_embed_depth.")
         yield from self.fusion.named_parameters("fusion.")
@@ -126,15 +146,28 @@ class Model:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state):
-        own = dict(self.named_parameters())
-        if set(state) != set(own):
-            missing = set(own) - set(state)
-            extra = set(state) - set(own)
+        self.load_parameters({name: arr.shape for name, arr in state.items()},
+                             lambda name, dst: np.copyto(dst, state[name], casting="unsafe"))
+
+    def load_parameters(self, shapes, write):
+        """Overwrite every parameter in place, all or nothing.
+
+        ``shapes`` maps each parameter name to its shape. Every name and
+        shape is checked first, so a mismatch raises ConfigError with no
+        parameter changed. Then ``write(name, array)`` fills each
+        parameter's own array, and the deferred init is dropped.
+        """
+        own = dict(self._named_parameters())
+        if set(shapes) != set(own):
+            missing = set(own) - set(shapes)
+            extra = set(shapes) - set(own)
             raise ConfigError(f"checkpoint mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, arr in state.items():
-            if tuple(arr.shape) != tuple(own[name].shape):
-                raise ConfigError(f"shape mismatch for {name}: {arr.shape} vs {own[name].shape}")
-            own[name].data = arr.astype(own[name].dtype)
+        for name, shape in shapes.items():
+            if tuple(shape) != own[name].shape:
+                raise ConfigError(f"shape mismatch for {name}: {tuple(shape)} vs {own[name].shape}")
+        for name in shapes:
+            write(name, own[name].data)
+        self._init.discard()
 
 
 def build_model(cfg, dtype=np.float32):
@@ -145,7 +178,7 @@ def param_count(model, breakdown=False):
     """Exact count of learnable scalars; optionally per top-level module."""
     per_module = {}
     total = 0
-    for name, p in model.named_parameters():
+    for name, p in model._named_parameters():  # shapes only: no draws
         top = name.split(".", 1)[0]
         per_module[top] = per_module.get(top, 0) + p.size
         total += p.size

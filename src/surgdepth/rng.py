@@ -1,5 +1,6 @@
 """Seeded PRNG helpers. No global hidden state: every consumer gets an
-explicit numpy Generator (PCG64) derived from a config seed."""
+explicit numpy Generator (PCG64) derived from a config seed, or a
+DeferredInit that records the draws and replays them from one later."""
 
 import numpy as np
 
@@ -8,9 +9,35 @@ def make_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=np.float32, bound=2.0):
-    """Normal(0, std) truncated to +-bound*std, by resampling."""
-    out = rng.standard_normal(size=shape, dtype=np.float32)
+class DeferredInit:
+    """Stands in for a Generator while a model is built.
+
+    ``trunc_normal`` called with it returns an unfilled array and records
+    the draw; ``replay`` later fills every recorded array, in recording
+    order, from a real Generator, so the values are those an eager build
+    from that Generator gives. ``discard`` drops the recording once the
+    arrays were overwritten by other means (a checkpoint load).
+    """
+
+    def __init__(self):
+        self.draws = []   # (array, std, bound) in construction order
+
+    def replay(self, rng):
+        for out, std, bound in self.draws:
+            if out.dtype == np.float32:
+                _fill_trunc_normal(rng, out, std, bound)
+            else:
+                out[...] = _fill_trunc_normal(rng, np.empty(out.shape, np.float32), std, bound)
+        self.draws = []
+
+    def discard(self):
+        self.draws = []
+
+
+def _fill_trunc_normal(rng, out, std, bound):
+    """Fill the C-contiguous float32 ``out`` with Normal(0, std) truncated
+    to +-bound*std, by resampling."""
+    rng.standard_normal(dtype=np.float32, out=out)
     out *= np.float32(std)
     limit = np.float32(bound * std)
     flat = out.reshape(-1)
@@ -19,4 +46,18 @@ def trunc_normal(rng, shape, std=0.02, dtype=np.float32, bound=2.0):
         draw = rng.standard_normal(size=idx.size, dtype=np.float32) * np.float32(std)
         flat[idx] = draw
         idx = idx[np.abs(draw) > limit]
+    return out
+
+
+def trunc_normal(rng, shape, std=0.02, dtype=np.float32, bound=2.0):
+    """Normal(0, std) truncated to +-bound*std, by resampling.
+
+    With a DeferredInit as ``rng`` the array comes back unfilled and the
+    draw is recorded for ``DeferredInit.replay``.
+    """
+    if isinstance(rng, DeferredInit):
+        out = np.empty(shape, dtype=dtype)
+        rng.draws.append((out, std, bound))
+        return out
+    out = _fill_trunc_normal(rng, np.empty(shape, np.float32), std, bound)
     return out if dtype == np.float32 else out.astype(dtype)

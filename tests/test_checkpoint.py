@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from surgdepth import rng as rng_mod
 from surgdepth.checkpoint import (MAGIC, load_checkpoint, load_model,
                                   save_checkpoint, save_model)
 from surgdepth.errors import ConfigError, FormatError
@@ -88,6 +89,79 @@ def test_non_ascii_manifest_rejected(tmp_path):
     _two_param_file(path, b"a 4 0\nb\xe9 4 16\n")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_overlapping_buffers_rejected(tmp_path):
+    # b's extent 8..24 covers the last half of a's 0..16.
+    path = tmp_path / "overlap.srgd"
+    _two_param_file(path, b"a 4 0\nb 4 8\n")
+    with pytest.raises(FormatError, match="overlap"):
+        load_checkpoint(path)
+
+
+def test_repeated_name_rejected(tmp_path):
+    path = tmp_path / "twice.srgd"
+    _two_param_file(path, b"a 4 0\na 4 16\n")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def _rewrite_manifest(path, edit):
+    """Rewrite a checkpoint's manifest lines with ``edit(lines)``."""
+    blob = path.read_bytes()
+    end = blob.index(b"\n\n", len(MAGIC))
+    lines = blob[len(MAGIC):end + 1].splitlines(keepends=True)
+    path.write_bytes(MAGIC + b"".join(edit(lines)) + blob[end + 1:])
+
+
+@pytest.mark.parametrize("defect", ["overlap", "truncated", "negative"])
+def test_load_model_checks_whole_file_before_writing(tmp_path, defect):
+    path = tmp_path / "model.srgd"
+    save_model(path, build_model(_toy_cfg(seed=3)))
+
+    def edit(lines):
+        name, dims, off = lines[-1].split()
+        if defect == "overlap":      # the last buffer starts 4 bytes early
+            off = str(int(off) - 4).encode()
+        elif defect == "truncated":  # the last buffer runs past the payload
+            off = str(int(off) + 4).encode()
+        else:
+            off = b"-4"
+        return lines[:-1] + [b" ".join([name, dims, off]) + b"\n"]
+
+    _rewrite_manifest(path, edit)
+    model = build_model(_toy_cfg(seed=9))
+    before = model.state_dict()
+    with pytest.raises(FormatError):
+        load_model(path, model)
+    for name, arr in model.state_dict().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
+def test_build_then_load_draws_no_random_number(tmp_path, monkeypatch):
+    src = build_model(_toy_cfg(seed=3))
+    path = tmp_path / "model.srgd"
+    save_model(path, src)
+
+    def no_draws(*args):
+        raise AssertionError("a deferred init was drawn")
+
+    monkeypatch.setattr(rng_mod, "_fill_trunc_normal", no_draws)
+    model = load_model(path, build_model(_toy_cfg(seed=9)))
+    model(np.zeros((3, 16, 16), np.float32), np.zeros((1, 16, 16), np.float32))
+    for (n1, p1), (n2, p2) in zip(src.named_parameters(), model.named_parameters()):
+        assert n1 == n2
+        np.testing.assert_array_equal(p1.data, p2.data)
+
+
+def test_float64_model_loads_float32_checkpoint(tmp_path):
+    src = build_model(_toy_cfg(seed=3))
+    path = tmp_path / "model.srgd"
+    save_model(path, src)
+    model = load_model(path, build_model(_toy_cfg(seed=9), dtype=np.float64))
+    for (n1, p1), (n2, p2) in zip(src.named_parameters(), model.named_parameters()):
+        assert n1 == n2 and p2.dtype == np.float64
+        np.testing.assert_array_equal(p1.data.astype(np.float64), p2.data)
 
 
 def test_model_round_trip(tmp_path):

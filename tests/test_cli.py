@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surgdepth.checkpoint import load_checkpoint
-from surgdepth.cli import (EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
+from surgdepth.cli import (EXIT_DATA, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
                            EXIT_VERIFY_FAIL, main, read_config_file)
 from surgdepth.errors import UsageError
 
@@ -147,6 +147,20 @@ class TestTrainEval:
                      "--decoder-blocks", "2", "--data", dataset,
                      "--ckpt", str(run / "best.ckpt")])
         assert code == EXIT_MISMATCH
+
+    def test_eval_bad_checkpoint_exits_65(self, tmp_path, dataset, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"NOTM0001\n\n")
+        code = main(["eval", *TOY_FLAGS, "--data", dataset, "--ckpt", str(ckpt)])
+        assert code == EXIT_DATA == 65
+        assert "bad magic header" in capsys.readouterr().err
+
+    def test_eval_bad_raster_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "4", "--size", "16", "--out", str(data)])
+        (data / "000000_depth.pgm").write_bytes(b"P5\n16 16\n0\n" + bytes(256))
+        code = main(["eval", *TOY_FLAGS, "--data", str(data)])
+        assert code == EXIT_DATA
 
     def test_class_count_mismatch_exits_3(self, tmp_path, dataset, capsys):
         code = main(["train", *TOY_FLAGS[:-2], "--classes", "5",

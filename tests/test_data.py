@@ -153,6 +153,14 @@ class TestNetpbm:
         with pytest.raises(FormatError):
             _read_pnm(str(path), "P5")
 
+    @pytest.mark.parametrize("maxval", [0, -1, 65536])
+    def test_maxval_outside_range_rejected(self, tmp_path, maxval):
+        # maxval 0 used to load, and read_sample divided depth by it (all NaN).
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
+        with pytest.raises(FormatError):
+            _read_pnm(str(path), "P5")
+
     def test_sample_round_trip_within_quantization(self, tmp_path):
         s = generate_sample(SceneSpec(), 0, 16, 16)
         write_sample(str(tmp_path), 0, s)

@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from surgdepth import rng as rng_mod
 from surgdepth.errors import ConfigError, ShapeError
 from surgdepth.model import (ModelConfig, build_model, full_vitb_config,
                              param_count)
-from surgdepth.rng import make_rng
+from surgdepth.rng import DeferredInit, make_rng, trunc_normal
 
 
 def _toy_cfg(**kw):
@@ -108,6 +111,77 @@ def test_load_state_dict_rejects_mismatch():
     dst = build_model(_toy_cfg())
     with pytest.raises(ConfigError):
         dst.load_state_dict(src.state_dict())
+
+
+def _failing_state(seed=1):
+    """A full state dict whose last parameter has the wrong shape."""
+    state = build_model(_toy_cfg(seed=seed)).state_dict()
+    last = list(state)[-1]
+    state[last] = np.zeros(state[last].size + 1, np.float32)
+    return state
+
+
+def test_failed_load_state_dict_changes_nothing():
+    model = build_model(_toy_cfg())
+    before = model.state_dict()
+    with pytest.raises(ConfigError):
+        model.load_state_dict(_failing_state())
+    for name, arr in model.state_dict().items():
+        np.testing.assert_array_equal(arr, before[name])
+
+
+def test_failed_load_keeps_deferred_init():
+    model = build_model(_toy_cfg())
+    with pytest.raises(ConfigError):
+        model.load_state_dict(_failing_state())
+    fresh = build_model(_toy_cfg()).state_dict()
+    for name, arr in model.state_dict().items():
+        np.testing.assert_array_equal(arr, fresh[name])
+
+
+def test_default_init_digest_is_pinned():
+    """Seed-0 toy init, as drawn eagerly before the init was deferred."""
+    h = hashlib.sha256()
+    for name, arr in build_model(ModelConfig(seed=0)).state_dict().items():
+        h.update(name.encode())
+        h.update(str(arr.dtype).encode())
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == "3c7b35a631f2ef48084c344314fc913c64afd0e2a9673a1b11976ab0b1b51cf8"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_deferred_trunc_normal_replays_eager_draws(dtype):
+    shapes = [(3, 4), (5,), (2, 3, 7, 7)]
+    rng = make_rng(7)
+    eager = [trunc_normal(rng, s, std=0.5, dtype=dtype) for s in shapes]
+    init = DeferredInit()
+    deferred = [trunc_normal(init, s, std=0.5, dtype=dtype) for s in shapes]
+    init.replay(make_rng(7))
+    for a, b in zip(eager, deferred):
+        assert b.dtype == dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("read", ["forward", "parameters", "state_dict"])
+def test_first_read_draws_init(read):
+    cfg = _toy_cfg()
+    reference = build_model(cfg).state_dict()
+    model = build_model(cfg)
+    if read == "forward":
+        model(*_inputs(cfg))
+    else:
+        getattr(model, read)()
+    for name, p in model._named_parameters():
+        np.testing.assert_array_equal(p.data, reference[name])
+
+
+def test_param_count_draws_nothing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a deferred init was drawn")
+
+    monkeypatch.setattr(rng_mod, "_fill_trunc_normal", no_draws)
+    assert param_count(build_model(_toy_cfg())) > 0
 
 
 def test_param_names_unique():
