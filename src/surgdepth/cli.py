@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from .checkpoint import load_model, save_model
 from .data import (SceneSpec, generate_dataset, load_dataset,
                    rgb_ambiguous_fraction, write_dataset)
@@ -77,24 +75,11 @@ def make_model_config(args):
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(read_config_file(args.config))
-    flag_map = {
-        "image_h": getattr(args, "size", None),
-        "image_w": getattr(args, "size", None),
-        "num_classes": getattr(args, "classes", None),
-        "patch": getattr(args, "patch", None),
-        "embed_dim": getattr(args, "embed_dim", None),
-        "depth_blocks": getattr(args, "encoder_blocks", None),
-        "heads": getattr(args, "heads", None),
-        "fusion_k": getattr(args, "fusion_k", None),
-        "decoder_blocks": getattr(args, "decoder_blocks", None),
-        "decoder_input": getattr(args, "decoder_input", None),
-        "seed": getattr(args, "seed", None),
-        "lr": getattr(args, "lr", None),
-        "weight_decay": getattr(args, "weight_decay", None),
-        "epochs": getattr(args, "epochs", None),
-        "batch_size": getattr(args, "batch_size", None),
-    }
-    for key, value in flag_map.items():
+    # Each model flag's dest is its ModelConfig field, except --size,
+    # which sets both image dims.
+    for key in _CONFIG_FIELDS:
+        flag = "size" if key in ("image_h", "image_w") else key
+        value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
     cfg = replace(cfg, **{k: _coerce(k, v) for k, v in overrides.items()})
@@ -114,13 +99,17 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
+def _load_dataset_for(cfg, directory):
+    """(train, val) samples of a dataset whose class count matches cfg."""
+    train_s, val_s, k = load_dataset(directory)
+    if k != cfg.num_classes:
+        raise ConfigError(f"dataset has {k} classes, config {cfg.num_classes}")
+    return train_s, val_s
+
+
 def cmd_train(args):
     cfg = make_model_config(args)
-    train_s, val_s, k = load_dataset(args.data)
-    if k != cfg.num_classes:
-        print(f"error: dataset has {k} classes, config {cfg.num_classes}",
-              file=sys.stderr)
-        return EXIT_MISMATCH
+    train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
     os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "best.ckpt")
@@ -129,13 +118,9 @@ def cmd_train(args):
         save_model(ckpt, model)
         print("no training steps requested; wrote initial checkpoint")
         return EXIT_OK
-    try:
-        result = train(model, train_s, val_s, cfg, max_steps=args.max_steps,
-                       use_augment=not args.no_augment, metrics_path=metrics,
-                       ckpt_path=ckpt, log=print if args.verbose else None)
-    except NumericError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = train(model, train_s, val_s, cfg, max_steps=args.max_steps,
+                   use_augment=not args.no_augment, metrics_path=metrics,
+                   ckpt_path=ckpt, log=print if args.verbose else None)
     print(f"{result.steps} steps, best val mIoU {result.best_val_miou:.4f}, "
           f"{result.wall_seconds:.1f}s")
     return EXIT_OK
@@ -143,18 +128,10 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = make_model_config(args)
-    train_s, val_s, k = load_dataset(args.data)
-    if k != cfg.num_classes:
-        print(f"error: dataset has {k} classes, config {cfg.num_classes}",
-              file=sys.stderr)
-        return EXIT_MISMATCH
+    train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
     if args.ckpt:
-        try:
-            load_model(args.ckpt, model)
-        except ConfigError as exc:
-            print(f"checkpoint/config mismatch: {exc}", file=sys.stderr)
-            return EXIT_MISMATCH
+        load_model(args.ckpt, model)
     samples = train_s if args.split == "train" else val_s
     report = evaluate(model, samples)
     for c, iou in report.per_class_iou:
@@ -170,25 +147,13 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     cfg = make_model_config(args)
-    train_s, val_s, k = load_dataset(args.data)
-    if k != cfg.num_classes:
-        print(f"error: dataset has {k} classes, config {cfg.num_classes}",
-              file=sys.stderr)
-        return EXIT_MISMATCH
-    try:
-        if args.study == "decoder-depth":
-            rows = ablate_decoder_depth(cfg, train_s, val_s, max_steps=args.max_steps)
-            header = ["blocks", "miou", "params", f"reference_iou {REFERENCE_NOTE}"]
-            data = [[r["blocks"], f"{r['miou']:.4f}", r["params"], r["reference_iou"]]
-                    for r in rows]
-        else:
-            rows = ablate_decoder_input(cfg, train_s, val_s, max_steps=args.max_steps)
-            header = ["decoder_input", "miou", "params", f"reference_iou {REFERENCE_NOTE}"]
-            data = [[r["decoder_input"], f"{r['miou']:.4f}", r["params"], r["reference_iou"]]
-                    for r in rows]
-    except NumericError as exc:
-        print(f"numeric abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    train_s, val_s = _load_dataset_for(cfg, args.data)
+    ablate, key = ((ablate_decoder_depth, "blocks") if args.study == "decoder-depth"
+                   else (ablate_decoder_input, "decoder_input"))
+    rows = ablate(cfg, train_s, val_s, max_steps=args.max_steps)
+    header = [key, "miou", "params", f"reference_iou {REFERENCE_NOTE}"]
+    data = [[r[key], f"{r['miou']:.4f}", r["params"], r["reference_iou"]]
+            for r in rows]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -221,10 +186,12 @@ def build_parser():
     def add_model_flags(p):
         p.add_argument("--config", help="config file (key=value per line)")
         p.add_argument("--size", type=int, help="square image size (default 64)")
-        p.add_argument("--classes", type=int, help="class count (default 4)")
+        p.add_argument("--classes", type=int, dest="num_classes", metavar="CLASSES",
+                       help="class count (default 4)")
         p.add_argument("--patch", type=int, help="patch size (default 8)")
         p.add_argument("--embed-dim", type=int, help="encoder width (default 64)")
-        p.add_argument("--encoder-blocks", type=int, help="encoder depth (default 2)")
+        p.add_argument("--encoder-blocks", type=int, dest="depth_blocks",
+                       metavar="ENCODER_BLOCKS", help="encoder depth (default 2)")
         p.add_argument("--heads", type=int, help="attention heads (default 4)")
         p.add_argument("--fusion-k", type=int, help="fusion pool size (default 7)")
         p.add_argument("--decoder-blocks", type=int, help="decoder depth (default 4)")

@@ -8,9 +8,8 @@ layer, so an RGB-only model cannot separate those two classes. Uncoupled
 regions use one distinct color per class.
 """
 
-import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -317,16 +316,33 @@ def write_dataset(directory, samples, num_classes, val_fraction=0.25, seed=0):
 
 
 def load_dataset(directory):
-    """Returns (train_samples, val_samples, num_classes)."""
+    """Returns (train_samples, val_samples, num_classes).
+
+    Each manifest line reads ``index split height width num_classes``, split
+    being train or val. Labels must be below num_classes or IGNORE_INDEX.
+    """
     manifest = os.path.join(directory, "manifest.txt")
     train, val, k = [], [], None
     with open(manifest) as fh:
-        for line in fh:
-            idx, split, h, w, kk = line.split()
-            k = int(kk)
-            sample = read_sample(directory, int(idx))
-            if sample.label.shape != (int(h), int(w)):
+        for lineno, line in enumerate(fh, 1):
+            try:
+                idx, split, h, w, kk = line.split()
+                idx, h, w, kk = int(idx), int(h), int(w), int(kk)
+            except ValueError:
+                raise DataError(f"{manifest}:{lineno}: expected 'index split height "
+                                f"width num_classes', got {line!r}") from None
+            if split not in ("train", "val"):
+                raise DataError(f"{manifest}:{lineno}: split {split!r} is not train or val")
+            if k not in (None, kk):
+                raise DataError(f"{manifest}:{lineno}: {kk} classes, earlier lines say {k}")
+            k = kk
+            sample = read_sample(directory, idx)
+            if sample.label.shape != (h, w):
                 raise DataError(f"sample {idx}: manifest size mismatch")
+            if sample.label.max() >= k:  # one cheap pass; the mask only on a hit
+                bad = sample.label[(sample.label >= k) & (sample.label != IGNORE_INDEX)]
+                if bad.size:
+                    raise DataError(f"sample {idx}: label {bad.max()} >= {k} classes")
             (train if split == "train" else val).append(sample)
     if k is None:
         raise DataError(f"{manifest}: empty manifest")

@@ -100,8 +100,6 @@ class Decoder:
         logits = self.head(grid)
         return T.bilinear_resize(logits, out_h, out_w)
 
-    decode = __call__
-
     def named_parameters(self, prefix=""):
         yield from self.expand.named_parameters(prefix + "expand.")
         for i, block in enumerate(self.blocks):

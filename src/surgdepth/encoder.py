@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .fusion import TokenGrid, grid_from_chw
+from .fusion import grid_from_chw
 from .nn import Conv2d, LayerNorm, Linear
 
 
@@ -115,8 +115,6 @@ class Encoder:
             x = block(x)
         x = self.final_norm(x)
         return T.slice_axis(x, 0, 0, n), T.slice_axis(x, 0, n, 2 * n)
-
-    encode = __call__
 
     def named_parameters(self, prefix=""):
         yield prefix + "pos_embed_rgb", self.pos_embed_rgb

@@ -99,8 +99,6 @@ class FusionBlock:
         out_depth = T.add(x_depth.tokens, self.fc_out_depth(ctx_tokens))
         return TokenGrid(h, w, out_rgb), TokenGrid(h, w, out_depth)
 
-    fuse = __call__
-
     def named_parameters(self, prefix=""):
         for tag, layer in (("fc_q", self.fc_q), ("fc_k", self.fc_k),
                            ("fc_v", self.fc_v), ("fc_out_rgb", self.fc_out_rgb),

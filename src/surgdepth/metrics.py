@@ -12,7 +12,6 @@ class MetricsReport:
     per_class_iou: list = field(default_factory=list)  # (class_id, iou or None)
     mean_iou: float = 0.0
     pixel_accuracy: float = 0.0
-    loss_history: list = field(default_factory=list)   # (step, loss)
 
     def to_dict(self):
         return {

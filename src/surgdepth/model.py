@@ -1,7 +1,7 @@
 """Full model assembly: patch embeddings, fusion block, ViT encoder,
 ConvNeXt decoder, plus parameter counting."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,7 +9,7 @@ from . import tensor as T
 from .decoder import Decoder
 from .encoder import Encoder, PatchEmbed
 from .errors import ConfigError, ShapeError
-from .fusion import FusionBlock, TokenGrid
+from .fusion import FusionBlock
 from .rng import DeferredInit, make_rng
 
 DECODER_INPUTS = ("rgb_only", "rgb_and_depth")

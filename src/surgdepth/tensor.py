@@ -13,8 +13,6 @@ Only conv2d, pooling and bilinear_resize accumulate in float64 even when
 the storage dtype is float32, so their oracle comparisons stay tight.
 """
 
-from __future__ import annotations
-
 import contextlib
 import ctypes
 import math
@@ -80,9 +78,9 @@ def no_grad():
 class Tensor:
     """N-dimensional float array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "name")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
 
-    def __init__(self, data, requires_grad=False, name=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
@@ -91,7 +89,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._vjp = None
-        self.name = name
 
     # -- construction of op outputs ------------------------------------
     @classmethod
@@ -119,44 +116,17 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def item(self):
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operators
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def as_tensor(x, dtype=None):
+def as_tensor(x):
     if isinstance(x, Tensor):
         return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else np.float32)
-    return Tensor(arr)
+    return Tensor(np.asarray(x, dtype=np.float32))
 
 
 def _unbroadcast(grad, shape):
@@ -235,15 +205,6 @@ def sum_(x, axis=None, keepdims=False):
     return Tensor._from_op(np.asarray(out, dtype=x.dtype), (x,), vjp)
 
 
-def mean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    if axis is None:
-        n = x.size
-    else:
-        n = x.shape[axis] if isinstance(axis, int) else int(np.prod([x.shape[a] for a in axis]))
-    return mul(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------
@@ -260,13 +221,6 @@ def permute(x, axes):
     inv = tuple(np.argsort(axes))
     out = np.transpose(x.data, axes)
     return Tensor._from_op(out, (x,), lambda g: (np.transpose(g, inv),))
-
-
-def transpose(x):
-    """Swap the last two axes."""
-    x = as_tensor(x)
-    axes = tuple(range(x.data.ndim - 2)) + (x.data.ndim - 1, x.data.ndim - 2)
-    return permute(x, axes)
 
 
 def concat(tensors, axis=0):

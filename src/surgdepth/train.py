@@ -1,5 +1,6 @@
-"""Training / evaluation loops and the two ablation harnesses."""
+"""Training / evaluation loops and the ablation harness."""
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -74,10 +75,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                         s = augment(s, rng)
                     logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
                     losses.append(cross_entropy_loss(logits, s.label))
-                loss = T.mul(losses[0], 1.0) if len(losses) == 1 else losses[0]
-                for extra in losses[1:]:
-                    loss = T.add(loss, extra)
-                loss = T.mul(loss, 1.0 / len(losses))
+                loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
                     raise NumericError(
@@ -121,39 +119,32 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
             metrics_fh.close()
 
 
-def ablate_decoder_depth(cfg, train_samples, val_samples, blocks_list=(1, 2, 4, 8),
-                         max_steps=None, use_augment=False, log=None):
-    """One row per block count: (blocks, toy mIoU, params, reported reference)."""
+def _ablate(cfg, field_name, key, reference, train_samples, val_samples, max_steps):
+    """Retrain without augmentation with ``field_name`` set to each key of
+    ``reference``; one row per value: (value, toy mIoU, params, reported IoU)."""
     rows = []
-    for blocks in blocks_list:
-        sub = replace(cfg, decoder_blocks=blocks)
+    for value, reference_iou in reference.items():
+        sub = replace(cfg, **{field_name: value})
         model = build_model(sub)
         train(model, train_samples, val_samples, sub, max_steps=max_steps,
-              use_augment=use_augment, log=log)
+              use_augment=False)
         report = evaluate(model, val_samples if val_samples else train_samples)
         rows.append({
-            "blocks": blocks,
+            key: value,
             "miou": report.mean_iou,
             "params": param_count(model),
-            "reference_iou": DECODER_DEPTH_REFERENCE.get(blocks),
+            "reference_iou": reference_iou,
         })
     return rows
 
 
-def ablate_decoder_input(cfg, train_samples, val_samples, max_steps=None,
-                         use_augment=False, log=None):
+def ablate_decoder_depth(cfg, train_samples, val_samples, max_steps=None):
+    """One row per block count in DECODER_DEPTH_REFERENCE (1, 2, 4, 8)."""
+    return _ablate(cfg, "decoder_blocks", "blocks", DECODER_DEPTH_REFERENCE,
+                   train_samples, val_samples, max_steps)
+
+
+def ablate_decoder_input(cfg, train_samples, val_samples, max_steps=None):
     """Two rows: rgb_only vs rgb_and_depth decoder input."""
-    rows = []
-    for variant in ("rgb_only", "rgb_and_depth"):
-        sub = replace(cfg, decoder_input=variant)
-        model = build_model(sub)
-        train(model, train_samples, val_samples, sub, max_steps=max_steps,
-              use_augment=use_augment, log=log)
-        report = evaluate(model, val_samples if val_samples else train_samples)
-        rows.append({
-            "decoder_input": variant,
-            "miou": report.mean_iou,
-            "params": param_count(model),
-            "reference_iou": DECODER_INPUT_REFERENCE[variant],
-        })
-    return rows
+    return _ablate(cfg, "decoder_input", "decoder_input", DECODER_INPUT_REFERENCE,
+                   train_samples, val_samples, max_steps)

@@ -5,14 +5,13 @@ Each check returns (name, passed, detail); the CLI prints one line per
 check and exits nonzero on any failure.
 """
 
-import os
 import tempfile
 
 import numpy as np
 
 from . import tensor as T
 from .data import RgbdSample, read_sample, write_sample
-from .decoder import ConvNeXtBlock, Decoder, grid_to_tokens, tokens_to_grid
+from .decoder import ConvNeXtBlock, grid_to_tokens, tokens_to_grid
 from .encoder import MultiHeadSelfAttention, TransformerBlock
 from .fusion import FusionBlock, TokenGrid, attention_oracle
 from .gradcheck import grad_check

@@ -162,10 +162,35 @@ class TestTrainEval:
         code = main(["eval", *TOY_FLAGS, "--data", str(data)])
         assert code == EXIT_DATA
 
-    def test_class_count_mismatch_exits_3(self, tmp_path, dataset, capsys):
-        code = main(["train", *TOY_FLAGS[:-2], "--classes", "5",
-                     "--data", dataset, "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_class_count_mismatch_exits_3(self, tmp_path, dataset, capsys, command):
+        extra = {"train": ["--out", str(tmp_path / "run")],
+                 "eval": [],
+                 "ablate": ["--study", "decoder-depth", "--out", str(tmp_path / "t.csv")]}
+        code = main([command, *TOY_FLAGS[:-2], "--classes", "5",
+                     "--data", dataset, *extra[command]])
         assert code == EXIT_MISMATCH
+        assert "dataset has 4 classes, config 5" in capsys.readouterr().err
+
+    def test_malformed_manifest_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "4", "--size", "16", "--out", str(data)])
+        with open(data / "manifest.txt", "a") as fh:
+            fh.write("garbage\n")
+        code = main(["eval", *TOY_FLAGS, "--data", str(data)])
+        assert code == EXIT_DATA
+        assert "manifest.txt:5" in capsys.readouterr().err
+
+    def test_label_out_of_range_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "4", "--size", "16", "--out", str(data)])
+        label = data / "000000_label.pgm"
+        raster = bytearray(label.read_bytes())
+        raster[-1] = 9  # 4 classes: 9 is neither a class nor the ignore index
+        label.write_bytes(bytes(raster))
+        code = main(["eval", *TOY_FLAGS, "--data", str(data), "--split", "train"])
+        assert code == EXIT_DATA
+        assert "label 9" in capsys.readouterr().err
 
 
 class TestAblate:

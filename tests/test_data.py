@@ -8,6 +8,7 @@ from surgdepth.data import (AMBIGUOUS_COLOR, FAR_DEPTH, NEAR_DEPTH, RgbdSample,
                             rgb_ambiguous_fraction, split_dataset,
                             write_dataset, write_sample)
 from surgdepth.errors import DataError, FormatError
+from surgdepth.losses import IGNORE_INDEX
 from surgdepth.rng import make_rng
 
 
@@ -176,3 +177,38 @@ class TestNetpbm:
         assert k == 4
         assert len(train) + len(val) == 8
         assert len(val) == 2
+
+
+class TestManifest:
+    @pytest.fixture
+    def dataset(self, tmp_path):
+        write_dataset(str(tmp_path), generate_dataset(SceneSpec(), 4, 16, 16),
+                      num_classes=4)
+        return tmp_path
+
+    @pytest.mark.parametrize("line, message", [
+        ("garbage", "expected 'index split height width num_classes'"),
+        ("0 train 16 x 4", "expected 'index split height width num_classes'"),
+        ("0 test 16 16 4", "split 'test' is not train or val"),
+        ("0 train 16 16 5", "5 classes, earlier lines say 4"),
+    ], ids=["garbage", "non_integer", "bad_split", "class_count_disagrees"])
+    def test_bad_line_rejected_with_its_line_number(self, dataset, line, message):
+        with open(dataset / "manifest.txt", "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataError, match=message) as err:
+            load_dataset(str(dataset))
+        assert "manifest.txt:5" in str(err.value)
+
+    def test_label_outside_class_range_rejected(self, dataset):
+        s = read_sample(str(dataset), 2)
+        s.label[0, 0] = 4
+        write_sample(str(dataset), 2, s)
+        with pytest.raises(DataError, match="sample 2: label 4 >= 4 classes"):
+            load_dataset(str(dataset))
+
+    def test_ignore_label_accepted(self, dataset):
+        s = read_sample(str(dataset), 2)
+        s.label[0, 0] = IGNORE_INDEX
+        write_sample(str(dataset), 2, s)
+        train, val, _ = load_dataset(str(dataset))
+        assert any(x.label[0, 0] == IGNORE_INDEX for x in train + val)

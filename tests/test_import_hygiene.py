@@ -1,0 +1,47 @@
+"""Every name a package module imports is used there or re-exported.
+
+No linter ships with the toolchain, so this walks each module's syntax
+tree: a name bound by ``import`` or ``from ... import`` must appear as a
+name in the module's code or be listed in its ``__all__``. ``from
+__future__`` imports are compiler directives and are skipped.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "surgdepth"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_package_modules_found():
+    assert len(MODULES) > 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= _exported_names(tree)
+    unused = [f"{path.name}:{line}: {name}"
+              for name, line in _imported_names(tree) if name not in used]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
