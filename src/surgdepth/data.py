@@ -226,8 +226,11 @@ def _write_pnm(path, magic, arr, maxval):
 
 
 def _read_pnm(path, expect_magic):
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
     pos = 0
 
     def token():
@@ -323,7 +326,11 @@ def load_dataset(directory):
     """
     manifest = os.path.join(directory, "manifest.txt")
     train, val, k = [], [], None
-    with open(manifest) as fh:
+    try:
+        fh = open(manifest)
+    except FileNotFoundError:
+        raise DataError(f"{manifest}: no such file") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 idx, split, h, w, kk = line.split()

@@ -11,6 +11,26 @@ matmul multiplies in the result dtype of its operands, so float32 models
 run float32 GEMMs and float64 models (gradient checks) stay float64.
 Only conv2d, pooling and bilinear_resize accumulate in float64 even when
 the storage dtype is float32, so their oracle comparisons stay tight.
+
+gelu's cube of a float32 array (``_cube``) gives the bits of ``d ** 3``
+without sending negative values through NumPy's float32 ``power``, which
+runs a SIMD kernel for bases >= 0 but a per-element scalar routine, about
+50x slower, for each negative base. Lanes >= 0 take the SIMD kernel on
+``|d|``. Negative lanes take the float64 cube rounded to float32: the
+float64 product of three float32 values is within 2**-29 ULP of the
+exact cube, and the scalar routine is within 0.508 ULP of it, so both
+round to the same float32 unless the cube lies near the midpoint of two
+float32 values. Negative lanes are recomputed with ``** 3`` itself when
+(a) the float64 cube is more than 0.48 ULP from its float32 rounding,
+read off the float64's low 29 bits, (b) that rounding is a power of two,
+zero or infinite (the ULP halves below a power of two), or (c) its
+magnitude is below 2**-100 (the scalar routine misrounds subnormal
+cubes). About 4% of negative lanes are recomputed. Values go 32K at a
+time so the float64 temporaries stay in cache. All 2**32 float32 bit
+patterns give ``d ** 3``'s bits on NumPy 2.4 with AVX-512;
+``surgdepth verify`` checks a probe set, so a NumPy whose ``power``
+rounds differently fails there. Float64 arrays (gradient checks) use
+``d ** 3`` directly.
 """
 
 import contextlib
@@ -176,11 +196,50 @@ def log(a):
     return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
+# Float32 values per _cube pass: keeps its float64 temporaries in cache.
+_CUBE_CHUNK = 1 << 15
+# The low 29 bits of a float64 are its offset past the float32 below it,
+# in 2**-29 ULP; within _CUBE_NEAR of halfway the rounding is in doubt.
+_LOW29 = (1 << 29) - 1
+_CUBE_NEAR = round(0.02 * (1 << 29))
+
+
+def _cube(d):
+    """``d ** 3`` bit for bit, negative float32 bases mostly off NumPy's
+    scalar ``power`` path; see the module docstring."""
+    if d.dtype != np.float32:
+        return d ** 3
+    flat = d.reshape(-1)
+    out = np.empty(flat.shape, np.float32)
+    for lo in range(0, flat.size, _CUBE_CHUNK):
+        x = flat[lo:lo + _CUBE_CHUNK]
+        o = out[lo:lo + _CUBE_CHUNK]
+        np.power(np.abs(x), 3, out=o)
+        c = x.astype(np.float64)
+        c *= c * c
+        with np.errstate(over="ignore"):
+            n = c.astype(np.float32)
+        near = c.view(np.int64) & _LOW29
+        near -= 1 << 28
+        guard = np.abs(near, out=near) < _CUBE_NEAR
+        mag = n.view(np.int32) & 0x7FFFFFFF
+        guard |= (mag & 0x7FFFFF) == 0
+        guard |= mag < 27 << 23
+        sign = x.view(np.int32)
+        guard &= sign < 0
+        # sign >> 31 is all ones on negative lanes: take n's bits there
+        bits = o.view(np.int32)
+        bits ^= (bits ^ n.view(np.int32)) & (sign >> 31)
+        idx = np.flatnonzero(guard)
+        o[idx] = x[idx] ** 3
+    return out.reshape(d.shape)
+
+
 def gelu(x):
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
     d = x.data
-    inner = _GELU_C * (d + 0.044715 * d ** 3)
+    inner = _GELU_C * (d + 0.044715 * _cube(d))
     t = np.tanh(inner)
     out = 0.5 * d * (1.0 + t)
 
@@ -189,7 +248,7 @@ def gelu(x):
         dx = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t ** 2) * dinner
         return (g * dx,)
 
-    return Tensor._from_op(out.astype(d.dtype), (x,), vjp)
+    return Tensor._from_op(out.astype(d.dtype, copy=False), (x,), vjp)
 
 
 def sum_(x, axis=None, keepdims=False):
@@ -297,7 +356,7 @@ def softmax(x, axis=-1):
         dot = (g * s).sum(axis=axis, keepdims=True)
         return (s * (g - dot),)
 
-    return Tensor._from_op(s.astype(x.dtype), (x,), vjp)
+    return Tensor._from_op(s.astype(x.dtype, copy=False), (x,), vjp)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
@@ -323,7 +382,7 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         dx = ((dxhat - m1 - xhat * m2) * inv).astype(x.dtype)
         return dx, dgamma, dbeta
 
-    return Tensor._from_op(out.astype(x.dtype), (x, gamma, beta), vjp)
+    return Tensor._from_op(out.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------

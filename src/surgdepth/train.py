@@ -67,7 +67,6 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
             order = rng.permutation(len(train_samples))
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
-                opt.zero_grad()
                 losses = []
                 for i in batch:
                     s = train_samples[i]
@@ -78,9 +77,12 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                 loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
+                    # grads still hold the previous step's; none before step 1
+                    norm = f"{opt.grad_norm():.3e}" if step else "n/a"
                     raise NumericError(
                         f"NaN/Inf loss at step {step} (lr={cfg.lr}, "
-                        f"grad_norm={opt.grad_norm():.3e})")
+                        f"previous step's grad_norm={norm})")
+                opt.zero_grad()
                 T.backward(loss)
                 opt.step()
                 step += 1

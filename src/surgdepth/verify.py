@@ -237,6 +237,41 @@ def check_identity_suite():
     return not failures, "; ".join(failures) if failures else "all identities hold"
 
 
+def _f32_span(lo, hi, step=1):
+    """float32 values whose bit patterns run from ``lo`` (inclusive) to
+    ``hi`` (exclusive) by ``step``."""
+    return np.arange(lo, hi, step, dtype=np.uint32).view(np.float32)
+
+
+def _f32_bits(value):
+    return int(np.float32(value).view(np.uint32))
+
+
+def _cube_probe():
+    """float32 values on which ``tensor._cube`` must equal ``x ** 3``: every
+    16th value of [-2, -1), and with both signs zero, subnormals, powers of
+    two, values whose cubes are near or below the float32 subnormal range,
+    cubes around the float32 overflow, the largest float32, inf and NaN."""
+    mag = np.concatenate([
+        _f32_span(0, 1 << 23, 4093),
+        np.ldexp(np.float32(1), np.arange(-149, 128)).astype(np.float32),
+        _f32_span(_f32_bits(1e-14), _f32_bits(7.2e-13), 127),
+        _f32_span(_f32_bits(6.9e12), _f32_bits(7.1e12), 97),
+        np.array([np.finfo(np.float32).max, np.inf, np.nan], np.float32),
+    ])
+    binade = _f32_span(_f32_bits(1.0), _f32_bits(2.0), 16)
+    return np.concatenate([-binade, mag, -mag])
+
+
+def check_cube_bits():
+    x = _cube_probe()
+    with np.errstate(over="ignore"):
+        ref = x ** 3
+        got = T._cube(x)
+    bad = int(np.count_nonzero(got.view(np.uint32) != ref.view(np.uint32)))
+    return bad == 0, f"{bad} of {x.size} probe values differ from x ** 3"
+
+
 def check_param_count():
     model = build_model(full_vitb_config("rgb_only"))
     total = param_count(model)
@@ -271,6 +306,7 @@ TOY_CHECKS = [
     ("per-op gradient checks", check_per_op_grads),
     ("end-to-end gradient check", check_end_to_end_grad),
     ("identity and normalization suite", check_identity_suite),
+    ("gelu cube bits vs x ** 3", check_cube_bits),
 ]
 
 FULL_CHECKS = [

@@ -192,6 +192,19 @@ class TestTrainEval:
         assert code == EXIT_DATA
         assert "label 9" in capsys.readouterr().err
 
+    def test_missing_raster_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "4", "--size", "16", "--out", str(data)])
+        (data / "000001_label.pgm").unlink()
+        code = main(["eval", *TOY_FLAGS, "--data", str(data)])
+        assert code == EXIT_DATA
+        assert "000001_label.pgm: no such file" in capsys.readouterr().err
+
+    def test_missing_manifest_exits_65(self, tmp_path, capsys):
+        code = main(["eval", *TOY_FLAGS, "--data", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "manifest.txt: no such file" in capsys.readouterr().err
+
 
 class TestAblate:
     def test_decoder_depth_csv(self, tmp_path, dataset, capsys):

@@ -7,6 +7,7 @@ from surgdepth.oracles import (adaptive_avg_pool2d_oracle, bilinear_resize_oracl
                                conv2d_oracle, layer_norm_oracle, matmul_oracle,
                                softmax_oracle)
 from surgdepth.rng import make_rng
+from surgdepth.verify import _f32_bits, _f32_span
 
 
 class TestMatmul:
@@ -98,6 +99,54 @@ class TestGelu:
         x = np.linspace(-6, 6, 241).astype(np.float32)
         y = T.gelu(T.Tensor(x)).data
         assert np.all(y > -0.2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_power_formula(self, dtype):
+        x = make_rng(0).normal(size=(300, 97)).astype(dtype)
+        ref = 0.5 * x * (1.0 + np.tanh(T._GELU_C * (x + 0.044715 * x ** 3)))
+        np.testing.assert_array_equal(T.gelu(T.Tensor(x)).data, ref)
+
+    def test_taped_equals_no_grad(self):
+        x = T.Tensor(make_rng(1).normal(size=(70, 1000)).astype(np.float32),
+                     requires_grad=True)
+        taped = T.gelu(x)
+        with T.no_grad():
+            untaped = T.gelu(x)
+        assert taped.requires_grad and not untaped.requires_grad
+        np.testing.assert_array_equal(taped.data, untaped.data)
+
+
+def _random_bits(n):
+    return make_rng(2).integers(0, 1 << 32, size=n, dtype=np.uint32).view(np.float32)
+
+
+def _signed(x):
+    return np.concatenate([x, -x])
+
+
+CUBE_CASES = {
+    "binade (-2, -1]": lambda: _f32_span(_f32_bits(-1.0), _f32_bits(-2.0)),
+    # negative cubes near and below the float32 subnormal range
+    "underflow band": lambda: -_f32_span(_f32_bits(1e-14), _f32_bits(7.2e-13), 31),
+    "zeros, subnormals, powers of two": lambda: _signed(np.concatenate(
+        [_f32_span(0, 1 << 23, 1021),
+         np.ldexp(np.float32(1), np.arange(-149, 128)).astype(np.float32)])),
+    "overflow, inf, nan": lambda: _signed(np.concatenate(
+        [_f32_span(_f32_bits(6.9e12), _f32_bits(7.1e12), 7), np.float32([np.inf, np.nan])])),
+    "random bit patterns": lambda: _random_bits(1 << 20),
+    "non-contiguous view": lambda: _random_bits(1 << 20).reshape(1024, 1024)[::3, 1::2].T,
+    "size off the chunk grid": lambda: _random_bits(3 * T._CUBE_CHUNK + 1001),
+}
+
+
+@pytest.mark.parametrize("name", CUBE_CASES)
+def test_cube_bit_identical_to_power(name):
+    x = CUBE_CASES[name]()
+    with np.errstate(over="ignore", invalid="ignore"):  # huge and signalling-NaN bases
+        ref = x ** 3
+        got = T._cube(x)
+    assert got.shape == x.shape and got.dtype == np.float32
+    np.testing.assert_array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
 class TestConv2d:

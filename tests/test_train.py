@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from surgdepth import tensor as T
+from surgdepth import train as train_mod
 from surgdepth.checkpoint import load_checkpoint
 from surgdepth.data import SceneSpec, generate_dataset
 from surgdepth.errors import NumericError
@@ -55,12 +57,44 @@ def test_training_is_bit_reproducible():
         np.testing.assert_array_equal(states[0][name], states[1][name])
 
 
+def _loss_overflowing_from(step, batch_size):
+    """cross_entropy_loss, but infinite from train step ``step`` on."""
+    calls = []
+
+    def loss_fn(logits, labels):
+        calls.append(None)
+        loss = cross_entropy_loss(logits, labels)
+        return loss if len(calls) <= step * batch_size else T.mul(loss, np.inf)
+
+    return loss_fn
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_nan_loss_raises_numeric_error():
+def test_nan_loss_raises_numeric_error(monkeypatch):
     cfg = _toy_cfg(lr=1e12, weight_decay=0.0)
     model = build_model(cfg)
     with pytest.raises(NumericError):
         train(model, _samples(), None, cfg, max_steps=50, use_augment=False)
+    # train's own check reports the gradient norm of the last finite step
+    cfg = _toy_cfg()
+    monkeypatch.setattr(train_mod, "cross_entropy_loss",
+                        _loss_overflowing_from(1, cfg.batch_size))
+    model = build_model(cfg)
+    with pytest.raises(NumericError, match=r"at step 1 ") as info:
+        train(model, _samples(), None, cfg, max_steps=50, use_augment=False)
+    norm = re.search(r"grad_norm=(\S+)\)", str(info.value)).group(1)
+    expected = sum(float((p.grad.astype(np.float64) ** 2).sum())
+                   for p in model.parameters()) ** 0.5
+    assert expected > 0 and norm == f"{expected:.3e}"
+
+
+def test_nan_loss_at_step_zero_reports_no_grad_norm(monkeypatch):
+    cfg = _toy_cfg()
+    monkeypatch.setattr(train_mod, "cross_entropy_loss",
+                        _loss_overflowing_from(0, cfg.batch_size))
+    with pytest.raises(NumericError, match=r"at step 0 .*grad_norm=n/a\)"):
+        train(build_model(cfg), _samples(), None, cfg, max_steps=1,
+              use_augment=False)
 
 
 def test_metrics_jsonl_stream(tmp_path):
