@@ -52,7 +52,7 @@ class MultiHeadSelfAttention:
         k = self._split_heads(T.slice_axis(qkv, 1, c, 2 * c))
         v = self._split_heads(T.slice_axis(qkv, 1, 2 * c, 3 * c))
         scale = 1.0 / math.sqrt(self.head_dim)
-        attn = T.softmax(T.mul(T.matmul(q, T.permute(k, (0, 2, 1))), scale), axis=-1)
+        attn = T.softmax(T.matmul(q, T.permute(k, (0, 2, 1))), axis=-1, scale=scale)
         out = T.matmul(attn, v)                                 # (heads, n, hd)
         out = T.reshape(T.permute(out, (1, 0, 2)), (n, c))
         return self.proj(out)

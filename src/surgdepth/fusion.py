@@ -90,7 +90,7 @@ class FusionBlock:
         k_mat = self.fc_k(x_rgb.tokens)   # (h*w, C_d)
         v = self.fc_v(x_rgb.tokens)       # (h*w, C_d)
         scale = 1.0 / math.sqrt(self.attn_dim)
-        attn = T.softmax(T.mul(T.matmul(q, T.permute(k_mat, (1, 0))), scale), axis=-1)
+        attn = T.softmax(T.matmul(q, T.permute(k_mat, (1, 0))), axis=-1, scale=scale)
         ctx = T.matmul(attn, v)           # (k^2, C_d)
         ctx_grid = TokenGrid(self.k, self.k, ctx).to_chw()          # (C_d,k,k)
         up = T.bilinear_resize(ctx_grid, h, w)                      # (C_d,h,w)

@@ -30,19 +30,28 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
+        lr, b1, b2 = self.lr, self.beta1, self.beta2
         for name, p in self.params:
             g = p.grad
             if g is None:
                 g = np.zeros(p.shape, dtype=np.float64)
             elif g.shape != p.shape:
                 raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {name}")
-            g = g.astype(np.float64)
+            g = g.astype(np.float64, copy=False)
             x = p.data.astype(np.float64)
             # decoupled decay, independent of the adaptive update
-            x = x - self.lr * self.weight_decay * x
-            m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            x = x - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            x -= (lr * self.weight_decay) * x
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += ((1 - b2) * g) * g
+            den = np.sqrt(v / bc2)
+            den += self.eps
+            upd = m / bc1
+            upd *= lr
+            upd /= den
+            x -= upd
             p.data = x.astype(p.dtype)
 
     def grad_norm(self):

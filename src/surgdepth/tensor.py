@@ -31,10 +31,30 @@ patterns give ``d ** 3``'s bits on NumPy 2.4 with AVX-512;
 ``surgdepth verify`` checks a probe set, so a NumPy whose ``power``
 rounds differently fails there. Float64 arrays (gradient checks) use
 ``d ** 3`` directly.
+
+softmax, gelu and layer_norm run the NumPy operations of their plain
+whole-array formulas in the same order on the same values, so their bits
+do not change, but on cache-sized blocks and into one output buffer.
+softmax takes row blocks of about 1 MB (``_SOFTMAX_BLOCK``): each block is
+scaled, shifted by its row maxima, exponentiated and divided by its row
+sums while it sits in L2, and the row maxima with the block minimum stand
+in for an ``isfinite`` pass (NaN and +inf reach a maximum, -inf the
+minimum). Rows are independent, and a last-axis sum adds up each row the
+same way however many rows surround it. The float32 gelu runs its whole
+formula one ``_CUBE_CHUNK`` at a time; floating-point multiplication
+commutes bit for bit, so ``t *= 0.044715`` gives ``0.044715 * t``.
+layer_norm repeats ``np.var``'s own steps on one float64 copy of its
+input and reuses that copy for ``(x - mu) * inv``. ``_im2col`` is one
+strided copy of a sliding-window view. The depthwise 7x7's full-size
+``cols`` buffer (180 MB at 240x320) is kept on purpose: building it a few
+channels at a time gives the same bits and a faster call, but the forward
+then frees no such block, so a model loaded after it faults in fresh
+pages instead of reusing that freed heap, and the load took 40-78% longer.
 """
 
 import contextlib
 import ctypes
+import functools
 import math
 import platform
 import warnings
@@ -196,7 +216,7 @@ def log(a):
     return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-# Float32 values per _cube pass: keeps its float64 temporaries in cache.
+# Float32 values per _cube and gelu pass: keeps their temporaries in cache.
 _CUBE_CHUNK = 1 << 15
 # The low 29 bits of a float64 are its offset past the float32 below it,
 # in 2**-29 ULP; within _CUBE_NEAR of halfway the rounding is in doubt.
@@ -205,50 +225,71 @@ _CUBE_NEAR = round(0.02 * (1 << 29))
 
 
 def _cube(d):
-    """``d ** 3`` bit for bit, negative float32 bases mostly off NumPy's
-    scalar ``power`` path; see the module docstring."""
-    if d.dtype != np.float32:
-        return d ** 3
+    """``d ** 3`` of a float32 array bit for bit, negative bases mostly off
+    NumPy's scalar ``power`` path; see the module docstring."""
     flat = d.reshape(-1)
     out = np.empty(flat.shape, np.float32)
     for lo in range(0, flat.size, _CUBE_CHUNK):
-        x = flat[lo:lo + _CUBE_CHUNK]
-        o = out[lo:lo + _CUBE_CHUNK]
-        np.power(np.abs(x), 3, out=o)
-        c = x.astype(np.float64)
-        c *= c * c
-        with np.errstate(over="ignore"):
-            n = c.astype(np.float32)
-        near = c.view(np.int64) & _LOW29
-        near -= 1 << 28
-        guard = np.abs(near, out=near) < _CUBE_NEAR
-        mag = n.view(np.int32) & 0x7FFFFFFF
-        guard |= (mag & 0x7FFFFF) == 0
-        guard |= mag < 27 << 23
-        sign = x.view(np.int32)
-        guard &= sign < 0
-        # sign >> 31 is all ones on negative lanes: take n's bits there
-        bits = o.view(np.int32)
-        bits ^= (bits ^ n.view(np.int32)) & (sign >> 31)
-        idx = np.flatnonzero(guard)
-        o[idx] = x[idx] ** 3
+        _cube_chunk(flat[lo:lo + _CUBE_CHUNK], out[lo:lo + _CUBE_CHUNK])
     return out.reshape(d.shape)
+
+
+def _cube_chunk(x, o):
+    """Write ``x ** 3`` of at most ``_CUBE_CHUNK`` float32 values into ``o``."""
+    np.power(np.abs(x), 3, out=o)
+    c = x.astype(np.float64)
+    c *= c * c
+    with np.errstate(over="ignore"):
+        n = c.astype(np.float32)
+    near = c.view(np.int64) & _LOW29
+    near -= 1 << 28
+    guard = np.abs(near, out=near) < _CUBE_NEAR
+    mag = n.view(np.int32) & 0x7FFFFFFF
+    guard |= (mag & 0x7FFFFF) == 0
+    guard |= mag < 27 << 23
+    sign = x.view(np.int32)
+    guard &= sign < 0
+    # sign >> 31 is all ones on negative lanes: take n's bits there
+    bits = o.view(np.int32)
+    bits ^= (bits ^ n.view(np.int32)) & (sign >> 31)
+    idx = np.flatnonzero(guard)
+    o[idx] = x[idx] ** 3
+
+
+def _gelu_f32(d):
+    """Float32 tanh-GELU and its ``t = tanh(inner)``, one cache-sized chunk
+    at a time, with the operations of the float64 formula in ``gelu``."""
+    flat = d.reshape(-1)
+    t = np.empty(flat.shape, np.float32)
+    out = np.empty(flat.shape, np.float32)
+    for lo in range(0, flat.size, _CUBE_CHUNK):
+        x, tc, oc = (a[lo:lo + _CUBE_CHUNK] for a in (flat, t, out))
+        _cube_chunk(x, tc)
+        tc *= 0.044715
+        tc += x
+        tc *= _GELU_C
+        np.tanh(tc, out=tc)
+        np.add(tc, 1.0, out=oc)
+        oc *= 0.5 * x
+    return out.reshape(d.shape), t.reshape(d.shape)
 
 
 def gelu(x):
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
     d = x.data
-    inner = _GELU_C * (d + 0.044715 * _cube(d))
-    t = np.tanh(inner)
-    out = 0.5 * d * (1.0 + t)
+    if d.dtype == np.float32:
+        out, t = _gelu_f32(d)
+    else:
+        t = np.tanh(_GELU_C * (d + 0.044715 * d ** 3))
+        out = 0.5 * d * (1.0 + t)
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * d ** 2)
         dx = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t ** 2) * dinner
         return (g * dx,)
 
-    return Tensor._from_op(out.astype(d.dtype, copy=False), (x,), vjp)
+    return Tensor._from_op(out, (x,), vjp)
 
 
 def sum_(x, axis=None, keepdims=False):
@@ -343,20 +384,45 @@ def matmul(a, b):
     return Tensor._from_op(out, (a, b), vjp)
 
 
-def softmax(x, axis=-1):
-    """Numerically stabilized softmax along ``axis``."""
+# Bytes of softmax input per row block: the block's passes stay in L2.
+_SOFTMAX_BLOCK = 1 << 20
+
+
+def softmax(x, axis=-1, scale=None):
+    """Numerically stabilized softmax of ``x * scale`` along the last axis.
+
+    ``scale`` is rounded to float32 first, as ``mul`` by it would be.
+    """
     x = as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    d = x.data
+    if axis not in (-1, d.ndim - 1):
+        raise UsageError(f"softmax runs along the last axis, got axis={axis}")
+    if scale is not None:
+        scale = np.float32(scale)
+    rows = d.reshape(-1, d.shape[-1])
+    s = np.empty(rows.shape, d.dtype)
+    step = max(1, _SOFTMAX_BLOCK // max(1, rows.shape[1] * d.itemsize))
+    for lo in range(0, rows.shape[0], step):
+        b, o = rows[lo:lo + step], s[lo:lo + step]
+        if scale is not None:
+            b = np.multiply(b, scale, out=o)
+        top = b.max(axis=-1, keepdims=True)
+        # NaN and +inf reach a row max, -inf the block min
+        if not (np.isfinite(top.max()) and np.isfinite(b.min())):
+            raise NumericError("softmax input contains non-finite values")
+        np.subtract(b, top, out=o)
+        np.exp(o, out=o)
+        o /= o.sum(axis=-1, keepdims=True)
+    s = s.reshape(d.shape)
 
     def vjp(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        dx = s * (g - dot)
+        if scale is not None:
+            dx *= scale
+        return (dx,)
 
-    return Tensor._from_op(s.astype(x.dtype, copy=False), (x,), vjp)
+    return Tensor._from_op(s, (x,), vjp)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
@@ -368,10 +434,21 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     if eps <= 0:
         raise ValueError("eps must be positive")
     mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = x.data.astype(np.float64).var(axis=-1, keepdims=True)
+    # np.var's own steps, on the one float64 working copy
+    w = x.data.astype(np.float64)
+    var = w.sum(axis=-1, keepdims=True)
+    var /= c
+    w -= var
+    np.square(w, out=w)
+    var = w.sum(axis=-1, keepdims=True)
+    var /= c
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((x.data - mu) * inv).astype(x.dtype)
-    out = xhat * gamma.data + beta.data
+    np.subtract(x.data, mu, out=w)
+    w *= inv
+    xhat = w.astype(x.dtype)
+    del w   # freed before out is allocated
+    out = xhat * gamma.data
+    out += beta.data
 
     def vjp(g):
         dgamma = (g * xhat).reshape(-1, c).sum(axis=0, dtype=np.float64).astype(gamma.dtype)
@@ -390,17 +467,14 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 # ---------------------------------------------------------------------
 
 def _im2col(x, kh, kw, stride, padding):
-    """(C,H,W) -> (C, kh*kw, Ho*Wo) patch matrix, float64."""
-    c, h, w = x.shape
+    """(C,H,W) -> (C, kh*kw, Ho*Wo) patch matrix, float64, in one strided copy."""
+    c = x.shape[0]
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    cols = np.empty((c, kh * kw, ho * wo), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
-            cols[:, i * kw + j, :] = patch.reshape(c, -1)
-    return cols, ho, wo
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]                  # (C, Ho, Wo, kh, kw)
+    ho, wo = win.shape[1:3]
+    cols = win.transpose(0, 3, 4, 1, 2).astype(np.float64, order="C")
+    return cols.reshape(c, kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols, c, h, w, kh, kw, stride, padding, ho, wo):
@@ -443,8 +517,10 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     def vjp(g):
         g_g = g.reshape(groups, c_out // groups, ho * wo).astype(np.float64)
         dw = np.matmul(g_g, np.swapaxes(cols_g, 1, 2)).reshape(weight.shape).astype(weight.dtype)
-        dcols = np.matmul(np.swapaxes(w_g, 1, 2), g_g).reshape(c_in, kh * kw, ho * wo)
-        dx = _col2im(dcols, c_in, h, w, kh, kw, stride, padding, ho, wo).astype(x.dtype)
+        dx = None   # an input that needs no grad (a raw image) skips dcols and _col2im
+        if x.requires_grad:
+            dcols = np.matmul(np.swapaxes(w_g, 1, 2), g_g).reshape(c_in, kh * kw, ho * wo)
+            dx = _col2im(dcols, c_in, h, w, kh, kw, stride, padding, ho, wo).astype(x.dtype)
         if bias is None:
             return dx, dw
         db = g.sum(axis=(1, 2), dtype=np.float64).astype(bias.dtype)
@@ -483,8 +559,12 @@ def adaptive_avg_pool2d(x, k):
     return Tensor._from_op(out.astype(x.dtype), (x,), vjp)
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(n_in, n_out, dtype):
-    """Row-stochastic (n_out, n_in) bilinear weights, align_corners=false."""
+    """Row-stochastic (n_out, n_in) bilinear weights, align_corners=false.
+
+    Cached and shared between calls, so the array is read-only.
+    """
     m = np.zeros((n_out, n_in), dtype=np.float64)
     scale = n_in / n_out
     for d in range(n_out):
@@ -495,7 +575,9 @@ def _interp_matrix(n_in, n_out, dtype):
         t = src - i0
         m[d, i0] += 1.0 - t
         m[d, i1] += t
-    return m.astype(dtype)
+    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
 
 
 def bilinear_resize(x, h_out, w_out):

@@ -43,6 +43,13 @@ def evaluate(model, samples, baseline_rgb_only=False):
     return acc.report()
 
 
+def _at_step(step, lr, opt):
+    """Where a numeric abort happened, for its message."""
+    # grads still hold the previous step's; none before step 1
+    norm = f"{opt.grad_norm():.3e}" if step else "n/a"
+    return f"at step {step} (lr={lr}, previous step's grad_norm={norm})"
+
+
 def train(model, train_samples, val_samples, cfg, *, max_steps=None,
           use_augment=True, baseline_rgb_only=False, metrics_path=None,
           ckpt_path=None, log=None):
@@ -72,16 +79,15 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                     s = train_samples[i]
                     if use_augment:
                         s = augment(s, rng)
-                    logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
-                    losses.append(cross_entropy_loss(logits, s.label))
+                    try:
+                        logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
+                        losses.append(cross_entropy_loss(logits, s.label))
+                    except NumericError as e:
+                        raise NumericError(f"{e} {_at_step(step, cfg.lr, opt)}") from e
                 loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
                 loss_val = loss.item()
                 if not np.isfinite(loss_val):
-                    # grads still hold the previous step's; none before step 1
-                    norm = f"{opt.grad_norm():.3e}" if step else "n/a"
-                    raise NumericError(
-                        f"NaN/Inf loss at step {step} (lr={cfg.lr}, "
-                        f"previous step's grad_norm={norm})")
+                    raise NumericError(f"NaN/Inf loss {_at_step(step, cfg.lr, opt)}")
                 opt.zero_grad()
                 T.backward(loss)
                 opt.step()

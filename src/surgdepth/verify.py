@@ -156,6 +156,10 @@ def check_per_op_grads():
                      [("x", xc), ("w", wc), ("b", bc)], tol=1e-3)
     if not rep.passed:
         failures.append(f"conv2d {rep.max_error:.1e}")
+    rep = grad_check(lambda: T.sum_(T.mul(T.softmax(y, axis=-1, scale=0.37),
+                                          T.gelu(y))), [("y", y)], tol=1e-3)
+    if not rep.passed:
+        failures.append(f"softmax(scale=0.37) {rep.max_error:.1e}")
     return not failures, "; ".join(failures) if failures else "all ops pass"
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from surgdepth import tensor as T
 from surgdepth.errors import NumericError, ShapeError
+from surgdepth.optim import AdamW
 from surgdepth.oracles import (adaptive_avg_pool2d_oracle, bilinear_resize_oracle,
                                conv2d_oracle, layer_norm_oracle, matmul_oracle,
                                softmax_oracle)
@@ -54,6 +55,48 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             T.softmax(T.Tensor(np.array([np.nan, 0.0], np.float32)), axis=-1)
 
+    # (700, 1000) spans 3 float32 or 6 float64 row blocks, the last one short
+    @pytest.mark.parametrize("shape", [(700, 1000), (5, 3, 7), (7,)])
+    @pytest.mark.parametrize("scale", [None, 0.37])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_unblocked_formula(self, dtype, scale, shape):
+        rng = make_rng(4)
+        x = (4 * rng.normal(size=shape)).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        ref = _softmax_ref(x, scale)
+        xt = T.Tensor(x, requires_grad=True)
+        out = T.softmax(xt, axis=-1, scale=scale)
+        T.backward(T.sum_(T.mul(out, T.Tensor(g))))
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref)
+        # the VJP of softmax, then of mul by the float32-rounded scale
+        dx = ref * (g - (g * ref).sum(axis=-1, keepdims=True))
+        if scale is not None:
+            dx = dx * np.float32(scale)
+        np.testing.assert_array_equal(xt.grad, dx)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scale", [None, 0.37])
+    def test_nonfinite_in_a_later_block_rejected(self, bad, scale):
+        x = make_rng(5).normal(size=(700, 1000)).astype(np.float32)
+        x[650, 999] = bad
+        with pytest.raises(NumericError, match="non-finite"):
+            T.softmax(T.Tensor(x), axis=-1, scale=scale)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_scale_overflow_rejected(self):
+        x = np.array([[3e38, 0.0]], np.float32)
+        with pytest.raises(NumericError, match="non-finite"):
+            T.softmax(T.Tensor(x), axis=-1, scale=2.0)
+
+
+def _softmax_ref(x, scale=None):
+    """Unblocked softmax, after a ``mul`` by ``scale`` rounded to float32."""
+    if scale is not None:
+        x = x * np.float32(scale)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
 
 class TestLayerNorm:
     def test_standardized_input_passthrough(self):
@@ -81,6 +124,20 @@ class TestLayerNorm:
             T.layer_norm(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(3)),
                          T.Tensor(np.zeros(3)))
 
+    # the encoder's (600, 768) and the decoder's (4800, 96), a few rows each
+    @pytest.mark.parametrize("shape", [(6, 768), (48, 96)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_np_var_formula(self, dtype, shape):
+        rng = make_rng(6)
+        x = (3 + 2 * rng.normal(size=shape)).astype(dtype)
+        gamma = rng.normal(size=shape[-1]).astype(dtype)
+        beta = rng.normal(size=shape[-1]).astype(dtype)
+        mu = x.mean(axis=-1, keepdims=True, dtype=np.float64)
+        var = x.astype(np.float64).var(axis=-1, keepdims=True)
+        xhat = ((x - mu) * (1.0 / np.sqrt(var + 1e-6))).astype(dtype)
+        out = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta))
+        np.testing.assert_array_equal(out.data, xhat * gamma + beta)
+
 
 class TestGelu:
     def test_zero(self):
@@ -105,6 +162,19 @@ class TestGelu:
         x = make_rng(0).normal(size=(300, 97)).astype(dtype)
         ref = 0.5 * x * (1.0 + np.tanh(T._GELU_C * (x + 0.044715 * x ** 3)))
         np.testing.assert_array_equal(T.gelu(T.Tensor(x)).data, ref)
+
+    @pytest.mark.parametrize("size", [1, 2 * T._CUBE_CHUNK, 3 * T._CUBE_CHUNK + 1001])
+    def test_chunked_float32_bit_identical_off_the_chunk_grid(self, size):
+        x = T.Tensor(make_rng(3).normal(size=size).astype(np.float32) * 3,
+                     requires_grad=True)
+        d = x.data
+        t = np.tanh(T._GELU_C * (d + 0.044715 * d ** 3))
+        out = T.gelu(x)
+        np.testing.assert_array_equal(out.data, 0.5 * d * (1.0 + t))
+        T.backward(T.sum_(out))
+        dinner = T._GELU_C * (1.0 + 3 * 0.044715 * d ** 2)
+        dx = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t ** 2) * dinner
+        np.testing.assert_array_equal(x.grad, np.ones_like(d) * dx)
 
     def test_taped_equals_no_grad(self):
         x = T.Tensor(make_rng(1).normal(size=(70, 1000)).astype(np.float32),
@@ -180,6 +250,38 @@ class TestConv2d:
             ref = conv2d_oracle(x[ch:ch + 1], w[ch:ch + 1], None, padding=1)
             np.testing.assert_allclose(got[ch], ref[0], atol=1e-5)
 
+    @pytest.mark.parametrize("stride", [1, 8])
+    @pytest.mark.parametrize("padding", [0, 3])
+    def test_im2col_equals_slice_loop(self, stride, padding):
+        kh, kw = 7, 5
+        h, w = kh - 2 * padding + 3 * stride, kw - 2 * padding + 4 * stride
+        x = make_rng(7).normal(size=(3, h, w)).astype(np.float32)
+        cols, ho, wo = T._im2col(x, kh, kw, stride, padding)
+        xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+        assert (ho, wo) == (4, 5)
+        ref = np.empty((3, kh * kw, ho * wo), np.float64)
+        for i in range(kh):
+            for j in range(kw):
+                patch = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                ref[:, i * kw + j, :] = patch.reshape(3, -1)
+        np.testing.assert_array_equal(cols, ref)
+
+    def test_weight_grads_unchanged_when_input_needs_none(self):
+        rng = make_rng(8)
+        x = rng.normal(size=(3, 16, 16)).astype(np.float32)
+        w = rng.normal(size=(4, 3, 4, 4)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        g = rng.normal(size=(4, 4, 4)).astype(np.float32)
+        grads = []
+        for x_grad in (True, False):
+            xt = T.Tensor(x, requires_grad=x_grad)
+            wt, bt = T.Tensor(w, requires_grad=True), T.Tensor(b, requires_grad=True)
+            T.backward(T.sum_(T.mul(T.conv2d(xt, wt, bt, stride=4), g)))
+            assert (xt.grad is not None) == x_grad
+            grads.append((wt.grad, bt.grad))
+        for with_dx, without_dx in zip(*grads):
+            np.testing.assert_array_equal(with_dx, without_dx)
+
     def test_non_integral_output_rejected(self):
         with pytest.raises(ShapeError):
             T.conv2d(T.Tensor(np.zeros((1, 5, 5))), T.Tensor(np.zeros((1, 1, 2, 2))),
@@ -228,6 +330,14 @@ class TestBilinearResize:
         np.testing.assert_allclose(got, bilinear_resize_oracle(x, 4, 4), atol=1e-6)
 
 
+def test_cached_interp_matrices_are_read_only():
+    m = T._interp_matrix(5, 9, np.float64)
+    assert T._interp_matrix(5, 9, np.float64) is m
+    assert not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 2.0
+
+
 class TestConcat:
     def test_single_input(self):
         a = make_rng(10).normal(size=(2, 3)).astype(np.float32)
@@ -267,3 +377,25 @@ def test_row_major_reshape_permute_round_trip():
     # row-major flattening: strides (12, 4, 1)
     assert flat.data[1 * 12 + 2 * 4 + 3] == x[1, 2, 3]
     np.testing.assert_array_equal(T.reshape(flat, (2, 3, 4)).data, x)
+
+
+def test_adamw_in_place_steps_bit_identical_to_formula():
+    rng = make_rng(14)
+    lr, (b1, b2), eps, wd = 1e-2, (0.9, 0.999), 1e-8, 0.05
+    p = T.Tensor(rng.normal(size=(6, 5)).astype(np.float32), requires_grad=True)
+    opt = AdamW([("p", p)], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+    x, m, v = p.data.copy(), np.zeros((6, 5)), np.zeros((6, 5))
+    for t in range(1, 6):
+        g = rng.normal(size=(6, 5)).astype(np.float32)
+        p.grad = g
+        opt.step()
+        g = g.astype(np.float64)
+        x = x.astype(np.float64)
+        x = x - lr * wd * x
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        x = x - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        x = x.astype(np.float32)
+        np.testing.assert_array_equal(p.data, x)
+        np.testing.assert_array_equal(opt.m["p"], m)
+        np.testing.assert_array_equal(opt.v["p"], v)

@@ -73,8 +73,15 @@ def _loss_overflowing_from(step, batch_size):
 def test_nan_loss_raises_numeric_error(monkeypatch):
     cfg = _toy_cfg(lr=1e12, weight_decay=0.0)
     model = build_model(cfg)
-    with pytest.raises(NumericError):
+    # the diverged forward aborts inside an op; train names the step
+    with pytest.raises(NumericError, match=r"non-finite values at step 1 "
+                       r"\(lr=1000000000000.0, previous step's grad_norm=") as info:
         train(model, _samples(), None, cfg, max_steps=50, use_augment=False)
+    assert isinstance(info.value.__cause__, NumericError)
+    norm = re.search(r"grad_norm=(\S+)\)", str(info.value)).group(1)
+    expected = sum(float((p.grad.astype(np.float64) ** 2).sum())
+                   for p in model.parameters()) ** 0.5
+    assert norm != "0.000e+00" and norm == f"{expected:.3e}"
     # train's own check reports the gradient norm of the last finite step
     cfg = _toy_cfg()
     monkeypatch.setattr(train_mod, "cross_entropy_loss",
