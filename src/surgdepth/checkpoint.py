@@ -19,22 +19,26 @@ MAGIC = b"SRGD0001\n"
 
 
 def save_checkpoint(path, state):
-    """state: ordered dict name -> ndarray."""
-    manifest = []
-    chunks = []
-    offset = 0
-    for name, arr in state.items():
-        arr = np.ascontiguousarray(arr, dtype="<f4")
-        dims = ",".join(str(d) for d in arr.shape) or "1"
-        manifest.append(f"{name} {dims} {offset}\n")
-        chunks.append(arr.tobytes())
-        offset += len(chunks[-1])
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.writelines(m.encode("ascii") for m in manifest)
-        fh.write(b"\n")
-        for c in chunks:
-            fh.write(c)
+    """state: ordered dict name -> ndarray, streamed one buffer at a time
+    into a temporary file that then replaces ``path``, so a failed save
+    leaves the previous file intact and no temporary file behind."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            offset = 0
+            for name, arr in state.items():
+                shape = np.shape(arr)
+                dims = ",".join(str(d) for d in shape) or "1"
+                fh.write(f"{name} {dims} {offset}\n".encode("ascii"))
+                offset += 4 * math.prod(shape)
+            fh.write(b"\n")
+            for arr in state.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # the buffer, not a copy
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _read_manifest(fh, path):

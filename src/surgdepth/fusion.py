@@ -67,8 +67,6 @@ class FusionBlock:
             raise ShapeError("fusion inputs must share (h, w, C)")
         if x_rgb.channels != self.channels:
             raise ShapeError(f"expected C={self.channels}, got {x_rgb.channels}")
-        if self.k > min(x_rgb.h, x_rgb.w):
-            raise ShapeError(f"pool size {self.k} exceeds grid {x_rgb.h}x{x_rgb.w}")
 
     def make_query(self, x_rgb, x_depth):
         """Pooled queries: concat channels, pool to k x k, project. (k^2, C_d)."""

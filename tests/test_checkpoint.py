@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,25 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(blob[:-5])
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "ckpt.srgd"
+    old = {"a": np.arange(6, dtype=np.float32)}
+    save_checkpoint(path, old)
+    # a file size limit makes the write fail partway, as a full disk would
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    try:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 14, limits[1]))
+        with pytest.raises(OSError):
+            save_checkpoint(path, {"a": np.ones(1 << 13, np.float32)})
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+        signal.signal(signal.SIGXFSZ, handler)
+    np.testing.assert_array_equal(load_checkpoint(path)["a"], old["a"])
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.srgd"]
 
 
 def test_loaded_arrays_are_writable(tmp_path):

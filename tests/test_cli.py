@@ -50,6 +50,24 @@ class TestUsage:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_MISMATCH
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--batch-size", "0"], ""), (["--batch-size", "-2"], ""),
+        (["--lr", "nan"], ""), (["--weight-decay", "-0.1"], ""),
+        ([], "epochs=-1\n"), ([], "lr=inf\n")],
+        ids=["batch-size-0", "batch-size-negative", "lr-nan", "weight-decay-negative",
+             "file-epochs-negative", "file-lr-inf"])
+    def test_untrainable_hyperparameter_is_mismatch(self, tmp_path, dataset, capsys,
+                                                    flags, config):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        code = main(["train", *TOY_FLAGS, *flags, "--config", str(cfg),
+                     "--data", dataset, "--out", str(out)])
+        assert code == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):

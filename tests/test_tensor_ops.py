@@ -159,9 +159,17 @@ class TestGelu:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_power_formula(self, dtype):
-        x = make_rng(0).normal(size=(300, 97)).astype(dtype)
-        ref = 0.5 * x * (1.0 + np.tanh(T._GELU_C * (x + 0.044715 * x ** 3)))
-        np.testing.assert_array_equal(T.gelu(T.Tensor(x)).data, ref)
+        # one chunk, then sizes on and off the chunk grid; the grad reads t
+        for shape in [(300, 97), (2 * T._CUBE_CHUNK,), (3 * T._CUBE_CHUNK + 1001,)]:
+            x = T.Tensor(make_rng(0).normal(size=shape).astype(dtype) * 3, requires_grad=True)
+            d = x.data
+            t = np.tanh(T._GELU_C * (d + 0.044715 * d ** 3))
+            out = T.gelu(x)
+            np.testing.assert_array_equal(out.data, 0.5 * d * (1.0 + t))
+            T.backward(T.sum_(out))
+            dinner = T._GELU_C * (1.0 + 3 * 0.044715 * d ** 2)
+            np.testing.assert_array_equal(
+                x.grad, np.ones_like(d) * (0.5 * (1.0 + t) + 0.5 * d * (1.0 - t ** 2) * dinner))
 
     @pytest.mark.parametrize("size", [1, 2 * T._CUBE_CHUNK, 3 * T._CUBE_CHUNK + 1001])
     def test_chunked_float32_bit_identical_off_the_chunk_grid(self, size):
@@ -312,6 +320,29 @@ class TestAdaptiveAvgPool:
         with pytest.raises(ShapeError):
             T.adaptive_avg_pool2d(T.Tensor(np.zeros((1, 3, 3))), 4)
 
+    # the toy fusion grid, then the ViT-B fusion grids at 240x320 and 480x640
+    @pytest.mark.parametrize("shape", [(128, 8, 8), (1536, 15, 20), (1536, 30, 40)])
+    def test_float32_bit_identical_to_window_loops(self, shape):
+        c, h, w = shape
+        k = 7
+        rng = make_rng(11)
+        x = T.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+        g = rng.normal(size=(c, k, k)).astype(np.float32)
+        out = T.adaptive_avg_pool2d(x, k)
+        T.backward(T.sum_(T.mul(out, g)))
+        ref = np.empty((c, k, k), np.float64)
+        dx = np.zeros(shape, np.float64)
+        for i in range(k):
+            r0, r1 = (i * h) // k, -(-((i + 1) * h) // k)
+            for j in range(k):
+                c0, c1 = (j * w) // k, -(-((j + 1) * w) // k)
+                ref[:, i, j] = x.data[:, r0:r1, c0:c1].mean(axis=(1, 2), dtype=np.float64)
+                dx[:, r0:r1, c0:c1] += g[:, i, j, None, None] / ((r1 - r0) * (c1 - c0))
+        np.testing.assert_array_equal(out.data.view(np.uint32),
+                                      ref.astype(np.float32).view(np.uint32))
+        np.testing.assert_array_equal(x.grad.view(np.uint32),
+                                      dx.astype(np.float32).view(np.uint32))
+
 
 class TestBilinearResize:
     def test_identity_at_equal_size(self):
@@ -331,11 +362,12 @@ class TestBilinearResize:
 
 
 def test_cached_interp_matrices_are_read_only():
-    m = T._interp_matrix(5, 9, np.float64)
-    assert T._interp_matrix(5, 9, np.float64) is m
-    assert not m.flags.writeable
-    with pytest.raises(ValueError):
-        m[0, 0] = 2.0
+    for make, args in [(T._interp_matrix, (5, 9)), (T._pool_matrix, (9, 4))]:
+        m = make(*args)
+        assert make(*args) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
 
 
 class TestConcat:
