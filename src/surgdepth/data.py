@@ -28,6 +28,12 @@ PALETTE = [
 NEAR_DEPTH = (0.65, 0.80)   # coupled class 1
 FAR_DEPTH = (0.25, 0.40)    # coupled class 2
 BACKGROUND_DEPTH = 0.05
+SHAPES_PER_SCENE = (4, 7)               # regions per scene, inclusive
+COLOR_NOISE, DEPTH_NOISE = 0.02, 0.01   # sensor noise stds
+# augment flips and blurs with these chances, then always color-jitters:
+# brightness, contrast and saturation by 1 +- JITTER, hue by +-HUE_JITTER
+FLIP_P, BLUR_P, BLUR_SIGMA = 0.5, 0.5, (0.1, 2.0)
+JITTER, HUE_JITTER = 0.2, 0.05
 
 
 @dataclass
@@ -41,11 +47,7 @@ class RgbdSample:
 @dataclass
 class SceneSpec:
     num_classes: int = 4
-    shapes_min: int = 4
-    shapes_max: int = 7
     depth_coupling: float = 0.5
-    layer_noise: float = 0.01
-    color_noise: float = 0.02
     seed: int = 0
 
     def validate(self):
@@ -77,7 +79,7 @@ def generate_sample(spec, index, h, w):
     label = np.zeros((h, w), dtype=np.int32)
     ambiguous = np.zeros((h, w), dtype=bool)
 
-    n_shapes = int(rng.integers(spec.shapes_min, spec.shapes_max + 1))
+    n_shapes = int(rng.integers(SHAPES_PER_SCENE[0], SHAPES_PER_SCENE[1] + 1))
     for _ in range(n_shapes):
         mask = _region_mask(rng, h, w)
         coupled = rng.random() < spec.depth_coupling
@@ -97,8 +99,8 @@ def generate_sample(spec, index, h, w):
         ambiguous[mask] = coupled
 
     # mild, class-independent sensor noise
-    rgb += rng.normal(0.0, spec.color_noise, size=rgb.shape).astype(np.float32)
-    depth += rng.normal(0.0, spec.layer_noise, size=depth.shape).astype(np.float32)
+    rgb += rng.normal(0.0, COLOR_NOISE, size=rgb.shape).astype(np.float32)
+    depth += rng.normal(0.0, DEPTH_NOISE, size=depth.shape).astype(np.float32)
     np.clip(rgb, 0.0, 1.0, out=rgb)
     np.clip(depth, 0.0, 1.0, out=depth)
     return RgbdSample(rgb=rgb, depth=depth, label=label, ambiguous=ambiguous)
@@ -165,17 +167,17 @@ def _hsv_to_rgb(hsv):
     return np.stack([r, g, b])
 
 
-def color_jitter(rgb, rng, brightness=0.2, contrast=0.2, saturation=0.2, hue=0.05):
+def color_jitter(rgb, rng):
     """Photometric jitter on an RGB raster; output clamped to [0,1]."""
     out = rgb.astype(np.float64)
-    fb = rng.uniform(1 - brightness, 1 + brightness)
+    fb = rng.uniform(1 - JITTER, 1 + JITTER)
     out = out * fb
-    fc = rng.uniform(1 - contrast, 1 + contrast)
+    fc = rng.uniform(1 - JITTER, 1 + JITTER)
     gray_mean = out.mean()
     out = gray_mean + (out - gray_mean) * fc
     out = np.clip(out, 0.0, 1.0)
-    fs = rng.uniform(1 - saturation, 1 + saturation)
-    dh = rng.uniform(-hue, hue)
+    fs = rng.uniform(1 - JITTER, 1 + JITTER)
+    dh = rng.uniform(-HUE_JITTER, HUE_JITTER)
     hsv = _rgb_to_hsv(out)
     hsv[1] = np.clip(hsv[1] * fs, 0.0, 1.0)
     hsv[0] = (hsv[0] + dh) % 1.0
@@ -193,19 +195,18 @@ def hflip(sample):
     )
 
 
-def augment(sample, rng, flip_p=0.5, blur_p=0.5, jitter_p=1.0,
-            blur_sigma=(0.1, 2.0)):
+def augment(sample, rng):
     """Random flip (joint), gaussian blur and color jitter (RGB only)."""
     out = sample
-    if rng.random() < flip_p:
+    if rng.random() < FLIP_P:
         out = hflip(out)
     rgb = out.rgb
-    if rng.random() < blur_p:
-        sigma = rng.uniform(*blur_sigma)
+    if rng.random() < BLUR_P:
+        sigma = rng.uniform(*BLUR_SIGMA)
         rgb = np.stack([gaussian_filter(rgb[c], sigma, mode="nearest")
                         for c in range(3)]).astype(np.float32)
-    if rng.random() < jitter_p:
-        rgb = color_jitter(rgb, rng)
+    rng.random()   # the jitter's coin (p = 1): later draws keep their place
+    rgb = color_jitter(rgb, rng)
     return RgbdSample(rgb=rgb, depth=out.depth, label=out.label,
                       ambiguous=out.ambiguous)
 

@@ -16,6 +16,8 @@ from .errors import ConfigError, ShapeError
 from .fusion import grid_from_chw
 from .nn import Conv2d, LayerNorm, Linear
 
+MLP_RATIO = 4   # MLP hidden width per embedding width
+
 
 class PatchEmbed:
     """Non-overlapping patch projection: a single strided convolution."""
@@ -69,12 +71,12 @@ class MultiHeadSelfAttention:
 class TransformerBlock:
     """Pre-norm ViT block: x + attn(norm1(x)), then + mlp(norm2(.))."""
 
-    def __init__(self, dim, heads, mlp_ratio=4, rng=None, dtype=np.float32):
+    def __init__(self, dim, heads, rng=None, dtype=np.float32):
         self.norm1 = LayerNorm(dim, dtype=dtype)
         self.attn = MultiHeadSelfAttention(dim, heads, rng=rng, dtype=dtype)
         self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.fc1 = Linear(dim, mlp_ratio * dim, rng=rng, dtype=dtype)
-        self.fc2 = Linear(mlp_ratio * dim, dim, rng=rng, dtype=dtype)
+        self.fc1 = Linear(dim, MLP_RATIO * dim, rng=rng, dtype=dtype)
+        self.fc2 = Linear(MLP_RATIO * dim, dim, rng=rng, dtype=dtype)
 
     def __call__(self, x):
         x = T.add(x, self.attn(self.norm1(x)))

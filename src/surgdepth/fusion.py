@@ -49,18 +49,18 @@ def grid_from_chw(x):
 class FusionBlock:
     """3D-awareness fusion: pooled-query cross-attention over RGB tokens."""
 
-    def __init__(self, channels, attn_dim=None, k=7, rng=None, std=0.02,
-                 dtype=np.float32, out_zero_init=False):
+    def __init__(self, channels, attn_dim=None, k=7, rng=None, dtype=np.float32,
+                 out_zero_init=False):
         self.channels = channels
         self.attn_dim = attn_dim if attn_dim is not None else 2 * channels
         self.k = k
-        self.fc_q = Linear(2 * channels, self.attn_dim, rng=rng, std=std, dtype=dtype)
-        self.fc_k = Linear(channels, self.attn_dim, rng=rng, std=std, dtype=dtype)
-        self.fc_v = Linear(channels, self.attn_dim, rng=rng, std=std, dtype=dtype)
-        self.fc_out_rgb = Linear(self.attn_dim, channels, rng=rng, std=std,
-                                 dtype=dtype, zero_init=out_zero_init)
-        self.fc_out_depth = Linear(self.attn_dim, channels, rng=rng, std=std,
-                                   dtype=dtype, zero_init=out_zero_init)
+        self.fc_q = Linear(2 * channels, self.attn_dim, rng=rng, dtype=dtype)
+        self.fc_k = Linear(channels, self.attn_dim, rng=rng, dtype=dtype)
+        self.fc_v = Linear(channels, self.attn_dim, rng=rng, dtype=dtype)
+        self.fc_out_rgb = Linear(self.attn_dim, channels, rng=rng, dtype=dtype,
+                                 zero_init=out_zero_init)
+        self.fc_out_depth = Linear(self.attn_dim, channels, rng=rng, dtype=dtype,
+                                   zero_init=out_zero_init)
 
     def _check(self, x_rgb, x_depth):
         if (x_rgb.h, x_rgb.w, x_rgb.channels) != (x_depth.h, x_depth.w, x_depth.channels):

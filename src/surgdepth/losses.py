@@ -8,21 +8,21 @@ from .errors import DataError, NumericError
 IGNORE_INDEX = 255
 
 
-def cross_entropy_loss(logits, labels, ignore_index=IGNORE_INDEX):
+def cross_entropy_loss(logits, labels):
     """Mean over non-ignored pixels of -log softmax(logits)[label].
 
     logits: Tensor (K, H, W); labels: integer array (H, W) with values
-    in [0, K) or ignore_index. Differentiable in logits.
+    in [0, K) or IGNORE_INDEX. Differentiable in logits.
     """
     logits = T.as_tensor(logits)
     labels = np.asarray(labels)
     k, h, w = logits.shape
     if labels.shape != (h, w):
         raise DataError(f"labels shape {labels.shape} != logits spatial {(h, w)}")
-    valid = labels != ignore_index
+    valid = labels != IGNORE_INDEX
     lab = labels[valid]
     if lab.size and (lab.min() < 0 or lab.max() >= k):
-        raise DataError(f"labels out of range [0,{k}) (ignore={ignore_index})")
+        raise DataError(f"labels out of range [0,{k}) (ignore={IGNORE_INDEX})")
     if not np.all(np.isfinite(logits.data)):
         raise NumericError("cross_entropy_loss got non-finite logits")
 

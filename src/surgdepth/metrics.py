@@ -24,15 +24,14 @@ class MetricsReport:
 class ConfusionAccumulator:
     """Global confusion counts across a dataset (not per-image averaging)."""
 
-    def __init__(self, num_classes, ignore_index=IGNORE_INDEX):
+    def __init__(self, num_classes):
         self.num_classes = num_classes
-        self.ignore_index = ignore_index
         self.matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def add(self, pred, label):
         pred = np.asarray(pred).reshape(-1)
         label = np.asarray(label).reshape(-1)
-        keep = label != self.ignore_index
+        keep = label != IGNORE_INDEX
         pred, label = pred[keep], label[keep]
         idx = label * self.num_classes + pred
         self.matrix += np.bincount(idx, minlength=self.num_classes ** 2).reshape(
@@ -59,7 +58,7 @@ class ConfusionAccumulator:
         )
 
 
-def mean_iou(pred, label, num_classes, ignore_index=IGNORE_INDEX):
-    acc = ConfusionAccumulator(num_classes, ignore_index)
+def mean_iou(pred, label, num_classes):
+    acc = ConfusionAccumulator(num_classes)
     acc.add(pred, label)
     return acc.report()

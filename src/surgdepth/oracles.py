@@ -31,11 +31,11 @@ def softmax_oracle(row):
     return (e / e.sum()).astype(np.float64)
 
 
-def layer_norm_oracle(row, gamma, beta, eps=1e-6):
+def layer_norm_oracle(row, gamma, beta):
     row = np.asarray(row, dtype=np.float64)
     mu = sum(row) / len(row)
     var = sum((v - mu) ** 2 for v in row) / len(row)
-    return np.array([(v - mu) / math.sqrt(var + eps) * g + b
+    return np.array([(v - mu) / math.sqrt(var + 1e-6) * g + b
                      for v, g, b in zip(row, gamma, beta)])
 
 
@@ -116,11 +116,10 @@ def mhsa_oracle(x, wq, wk, wv, bq, bk, bv, w_proj, b_proj):
     return matmul_oracle(ctx, w_proj) + b_proj
 
 
-def adamw_oracle_sequence(x0, grads, lr, betas=(0.9, 0.999), eps=1e-8,
-                          weight_decay=0.0):
-    """Scalar AdamW trajectory in 64-bit; returns list of params after
-    each step."""
-    b1, b2 = betas
+def adamw_oracle_sequence(x0, grads, lr, weight_decay=0.0):
+    """Scalar AdamW trajectory in 64-bit at AdamW's default betas and eps;
+    returns list of params after each step."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     x, m, v = float(x0), 0.0, 0.0
     out = []
     for t, g in enumerate(grads, 1):

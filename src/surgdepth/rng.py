@@ -4,6 +4,8 @@ DeferredInit that records the draws and replays them from one later."""
 
 import numpy as np
 
+TRUNC_BOUND = 2.0   # trunc_normal's cut, in standard deviations
+
 
 def make_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -20,26 +22,26 @@ class DeferredInit:
     """
 
     def __init__(self):
-        self.draws = []   # (array, std, bound) in construction order
+        self.draws = []   # (array, std) in construction order
 
     def replay(self, rng):
-        for out, std, bound in self.draws:
+        for out, std in self.draws:
             if out.dtype == np.float32:
-                _fill_trunc_normal(rng, out, std, bound)
+                _fill_trunc_normal(rng, out, std)
             else:
-                out[...] = _fill_trunc_normal(rng, np.empty(out.shape, np.float32), std, bound)
+                out[...] = _fill_trunc_normal(rng, np.empty(out.shape, np.float32), std)
         self.draws = []
 
     def discard(self):
         self.draws = []
 
 
-def _fill_trunc_normal(rng, out, std, bound):
+def _fill_trunc_normal(rng, out, std):
     """Fill the C-contiguous float32 ``out`` with Normal(0, std) truncated
-    to +-bound*std, by resampling."""
+    to +-TRUNC_BOUND*std, by resampling."""
     rng.standard_normal(dtype=np.float32, out=out)
     out *= np.float32(std)
-    limit = np.float32(bound * std)
+    limit = np.float32(TRUNC_BOUND * std)
     flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > limit)
     while idx.size:
@@ -49,15 +51,16 @@ def _fill_trunc_normal(rng, out, std, bound):
     return out
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=np.float32, bound=2.0):
-    """Normal(0, std) truncated to +-bound*std, by resampling.
+def trunc_normal(rng, shape, std=0.02, dtype=np.float32):
+    """Normal(0, std) truncated to +-TRUNC_BOUND*std, by resampling.
 
     With a DeferredInit as ``rng`` the array comes back unfilled and the
-    draw is recorded for ``DeferredInit.replay``.
+    draw is recorded for ``DeferredInit.replay``; with a Generator the
+    draw is recorded and replayed at once.
     """
-    if isinstance(rng, DeferredInit):
-        out = np.empty(shape, dtype=dtype)
-        rng.draws.append((out, std, bound))
-        return out
-    out = _fill_trunc_normal(rng, np.empty(shape, np.float32), std, bound)
-    return out if dtype == np.float32 else out.astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    init = rng if isinstance(rng, DeferredInit) else DeferredInit()
+    init.draws.append((out, std))
+    if init is not rng:
+        init.replay(rng)
+    return out

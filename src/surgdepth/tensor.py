@@ -13,14 +13,15 @@ float32 bits depend on the OpenBLAS thread count (a (12,600,600) @
 (12,600,64) product differs between 1 and 2 threads), so bit-identity
 between runs holds at a fixed nproc. conv2d, pooling and bilinear_resize
 accumulate in float64 even for float32 storage, so their oracle
-comparisons stay tight. The pool and the resize are separable GEMMs,
-``r @ x @ s.T`` with VJP ``r.T @ g @ s``, on cached read-only matrices.
-The pool's are 0/1 window memberships, and each window sum is divided
-once by its area: n float32 values sum exactly in float64, in any order,
-while their nonzero magnitudes lie within a factor 2**(29 - log2 n), so
-this gives a float64 ``mean``'s bits where 1/area weights would round
-each term. The VJP divides ``g`` by the area in ``g``'s dtype, as a
-window loop's ``g[:, i, j] / area`` does, then sums in float64.
+comparisons stay tight. The pool and the resize share one separable-GEMM
+kernel, ``_separable``: ``r @ x @ s.T`` with VJP ``r.T @ g @ s``, on cached
+read-only matrices. The pool's are 0/1 window memberships, and each window
+sum is divided once by its area: n float32 values sum exactly in float64,
+in any order, while their nonzero magnitudes lie within a factor
+2**(29 - log2 n), so this gives a float64 ``mean``'s bits where 1/area
+weights would round each term. The VJP divides ``g`` by the area in
+``g``'s dtype, as a window loop's ``g[:, i, j] / area`` does, then sums
+in float64.
 
 gelu's cube of a float32 array (``_cube``) gives the bits of ``d ** 3``
 without sending negative values through NumPy's float32 ``power``, which
@@ -54,8 +55,9 @@ same way however many rows surround it. gelu runs its whole formula one
 ``_CUBE_CHUNK`` at a time; floating-point multiplication and addition
 commute bit for bit, so ``t *= 0.044715`` gives ``0.044715 * t``.
 layer_norm repeats ``np.var``'s own steps on one float64 copy of its
-input and reuses that copy for ``(x - mu) * inv``. ``_im2col`` is one
-strided copy of a sliding-window view. The depthwise 7x7's full-size
+input, takes their mean as ``mu`` and reuses that copy for
+``(x - mu) * inv``. ``_im2col`` is one strided copy of a sliding-window
+view. The depthwise 7x7's full-size
 ``cols`` buffer (180 MB at 240x320) is kept on purpose: building it a few
 channels at a time gives the same bits and a faster call, but the forward
 then frees no such block, so a model loaded after it faults in fresh
@@ -104,6 +106,7 @@ _pin_malloc_thresholds()
 _SABOTAGE = None
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+LAYER_NORM_EPS = 1e-6   # added to layer_norm's variance
 
 # False inside ``no_grad()``: op outputs then record no parents and no VJP.
 _grad_enabled = True
@@ -426,24 +429,21 @@ def softmax(x, axis=-1, scale=None):
     return Tensor._from_op(s, (x,), vjp)
 
 
-def layer_norm(x, gamma, beta, eps=1e-6):
+def layer_norm(x, gamma, beta):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"layer_norm affine params must have shape ({c},)")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    # np.var's own steps, on the one float64 working copy
+    # np.var's own steps, on the one float64 working copy; its mean is mu
     w = x.data.astype(np.float64)
-    var = w.sum(axis=-1, keepdims=True)
-    var /= c
-    w -= var
+    mu = w.sum(axis=-1, keepdims=True)
+    mu /= c
+    w -= mu
     np.square(w, out=w)
     var = w.sum(axis=-1, keepdims=True)
     var /= c
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     np.subtract(x.data, mu, out=w)
     w *= inv
     xhat = w.astype(x.dtype)
@@ -530,21 +530,29 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     return Tensor._from_op(out.astype(x.dtype), parents, vjp)
 
 
+def _separable(x, r, s, area=None):
+    """Float64 ``r @ x @ s.T`` of a (C,h,w) Tensor, over ``area`` if given,
+    and its VJP ``r.T @ g @ s``; returns (output, vjp)."""
+    out = r @ x.data.astype(np.float64) @ s.T
+    if area is not None:
+        out /= area
+
+    def vjp(g):
+        if area is not None:
+            g = g / area.astype(g.dtype)
+        return ((r.T @ g.astype(np.float64) @ s).astype(x.dtype),)
+
+    return out, vjp
+
+
 def adaptive_avg_pool2d(x, k):
     """Average-pool a (C,h,w) map down to (C,k,k); windows tile the input."""
     x = as_tensor(x)
     c, h, w = x.shape
     if not 1 <= k <= min(h, w):
         raise ShapeError(f"pool size {k} out of range for {h}x{w} input")
-    r = _pool_matrix(h, k)
-    s = _pool_matrix(w, k)
-    area = np.outer(r.sum(1), s.sum(1))
-    out = r @ x.data.astype(np.float64) @ s.T / area
-
-    def vjp(g):
-        dx = r.T @ (g / area.astype(g.dtype)).astype(np.float64) @ s
-        return (dx.astype(x.dtype),)
-
+    r, s = _pool_matrix(h, k), _pool_matrix(w, k)
+    out, vjp = _separable(x, r, s, np.outer(r.sum(1), s.sum(1)))
     return Tensor._from_op(out.astype(x.dtype), (x,), vjp)
 
 
@@ -582,16 +590,9 @@ def bilinear_resize(x, h_out, w_out):
     c, h, w = x.shape
     if h_out < 1 or w_out < 1:
         raise ShapeError("output size must be positive")
-    r = _interp_matrix(h, h_out)
-    s = _interp_matrix(w, w_out)
-    out = r @ x.data.astype(np.float64) @ s.T
+    out, vjp = _separable(x, _interp_matrix(h, h_out), _interp_matrix(w, w_out))
     if _SABOTAGE == "bilinear_resize":
-        out = out + 1e-3
-
-    def vjp(g):
-        dx = r.T @ g.astype(np.float64) @ s
-        return (dx.astype(x.dtype),)
-
+        out += 1e-3
     return Tensor._from_op(out.astype(x.dtype), (x,), vjp)
 
 

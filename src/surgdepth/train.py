@@ -57,6 +57,8 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
 
     Best checkpoint (by validation mIoU) is written to ckpt_path when
     given; metrics stream to metrics_path as line-delimited JSON.
+    ``max_steps`` caps the optimizer steps; at 0 nothing is trained or
+    evaluated.
     """
     if not train_samples:
         raise ValueError("empty training set")
@@ -69,8 +71,9 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     best_state = None
     try:
         step = 0
-        done = False
         for epoch in range(cfg.epochs):
+            if max_steps is not None and step >= max_steps:
+                break   # checked before a step, so a cap of 0 trains nothing
             order = rng.permutation(len(train_samples))
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start:start + cfg.batch_size]
@@ -98,7 +101,6 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                 if log:
                     log(f"step {step} loss {loss_val:.4f}")
                 if max_steps is not None and step >= max_steps:
-                    done = True
                     break
             report = evaluate(model, val_samples if val_samples else train_samples,
                               baseline_rgb_only=baseline_rgb_only)
@@ -112,8 +114,6 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
             if report.mean_iou >= result.best_val_miou or best_state is None:
                 result.best_val_miou = report.mean_iou
                 best_state = model.state_dict()
-            if done:
-                break
         result.steps = step
         result.wall_seconds = time.monotonic() - t0
         if ckpt_path and best_state is not None:

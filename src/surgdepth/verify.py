@@ -5,6 +5,7 @@ Each check returns (name, passed, detail); the CLI prints one line per
 check and exits nonzero on any failure.
 """
 
+import functools
 import tempfile
 
 import numpy as np
@@ -31,139 +32,123 @@ def _toy_gradcheck_config():
                        decoder_blocks=1, num_classes=3, seed=0)
 
 
-def check_matmul_oracle(trials=20):
-    rng = make_rng(1)
-    worst = 0.0
-    for _ in range(trials):
-        a = rng.normal(size=(4, 5)).astype(np.float32)
-        b = rng.normal(size=(5, 6)).astype(np.float32)
-        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
-        worst = max(worst, float(np.abs(got - matmul_oracle(a, b)).max()))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+def _oracle_check(seed):
+    """Decorate ``trial(rng, i) -> (got, ref)`` into a check over 20 trials
+    drawn from ``make_rng(seed)``, passing at a max abs error of 1e-5."""
+    def wrap(trial):
+        @functools.wraps(trial)
+        def check():
+            rng = make_rng(seed)
+            worst = 0.0
+            for i in range(20):
+                got, ref = trial(rng, i)
+                worst = max(worst, float(np.abs(got - ref).max()))
+            return worst <= 1e-5, f"max abs err {worst:.2e}"
+        return check
+    return wrap
 
 
-def check_conv2d_oracle(trials=20):
-    rng = make_rng(2)
-    worst = 0.0
-    for i in range(trials):
-        groups = 1 if i % 2 == 0 else 2
-        x = rng.normal(size=(2, 5, 5)).astype(np.float32)
-        w = rng.normal(size=(4, 2 // groups, 3, 3)).astype(np.float32)
-        b = rng.normal(size=4).astype(np.float32)
-        got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b),
-                       stride=2, padding=1, groups=groups).data
-        ref = conv2d_oracle(x, w, b, stride=2, padding=1, groups=groups)
-        worst = max(worst, float(np.abs(got - ref).max()))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+@_oracle_check(seed=1)
+def check_matmul_oracle(rng, i):
+    a = rng.normal(size=(4, 5)).astype(np.float32)
+    b = rng.normal(size=(5, 6)).astype(np.float32)
+    return T.matmul(T.Tensor(a), T.Tensor(b)).data, matmul_oracle(a, b)
 
 
-def check_pool_oracle(trials=20):
-    rng = make_rng(3)
-    worst = 0.0
-    for i in range(trials):
-        h = int(rng.integers(3, 9))
-        w = int(rng.integers(3, 9))
-        k = int(rng.integers(1, min(h, w) + 1))
-        x = rng.normal(size=(2, h, w)).astype(np.float32)
-        got = T.adaptive_avg_pool2d(T.Tensor(x), k).data
-        worst = max(worst, float(np.abs(got - adaptive_avg_pool2d_oracle(x, k)).max()))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+@_oracle_check(seed=2)
+def check_conv2d_oracle(rng, i):
+    groups = 1 if i % 2 == 0 else 2
+    x = rng.normal(size=(2, 5, 5)).astype(np.float32)
+    w = rng.normal(size=(4, 2 // groups, 3, 3)).astype(np.float32)
+    b = rng.normal(size=4).astype(np.float32)
+    got = T.conv2d(T.Tensor(x), T.Tensor(w), T.Tensor(b),
+                   stride=2, padding=1, groups=groups).data
+    return got, conv2d_oracle(x, w, b, stride=2, padding=1, groups=groups)
 
 
-def check_bilinear_oracle(trials=20):
-    rng = make_rng(4)
-    worst = 0.0
-    for _ in range(trials):
-        h = int(rng.integers(1, 7))
-        w = int(rng.integers(1, 7))
-        ho = int(rng.integers(1, 13))
-        wo = int(rng.integers(1, 13))
-        x = rng.normal(size=(2, h, w)).astype(np.float32)
-        got = T.bilinear_resize(T.Tensor(x), ho, wo).data
-        worst = max(worst, float(np.abs(got - bilinear_resize_oracle(x, ho, wo)).max()))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+@_oracle_check(seed=3)
+def check_pool_oracle(rng, i):
+    h = int(rng.integers(3, 9))
+    w = int(rng.integers(3, 9))
+    k = int(rng.integers(1, min(h, w) + 1))
+    x = rng.normal(size=(2, h, w)).astype(np.float32)
+    return T.adaptive_avg_pool2d(T.Tensor(x), k).data, adaptive_avg_pool2d_oracle(x, k)
 
 
-def check_mhsa_oracle(trials=20):
-    rng = make_rng(5)
-    worst = 0.0
-    for _ in range(trials):
-        attn = MultiHeadSelfAttention(8, 1, rng=rng, dtype=np.float64)
-        x = rng.normal(size=(5, 8))
-        got = attn(T.Tensor(x)).data
-        w = attn.qkv.w.data
-        b = attn.qkv.b.data
-        ref = mhsa_oracle(x, w[:, :8], w[:, 8:16], w[:, 16:], b[:8], b[8:16],
-                          b[16:], attn.proj.w.data, attn.proj.b.data)
-        worst = max(worst, float(np.abs(got - ref).max()))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+@_oracle_check(seed=4)
+def check_bilinear_oracle(rng, i):
+    h = int(rng.integers(1, 7))
+    w = int(rng.integers(1, 7))
+    ho = int(rng.integers(1, 13))
+    wo = int(rng.integers(1, 13))
+    x = rng.normal(size=(2, h, w)).astype(np.float32)
+    return T.bilinear_resize(T.Tensor(x), ho, wo).data, bilinear_resize_oracle(x, ho, wo)
 
 
-def check_fuse_oracle(trials=20):
-    rng = make_rng(6)
-    worst = 0.0
-    for _ in range(trials):
-        block = FusionBlock(8, attn_dim=8, k=2, rng=rng, dtype=np.float64)
-        xr = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8))))
-        xd = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8))))
-        out_rgb, out_depth = block(xr, xd)
-        q = block.make_query(xr, xd).data
-        k_mat = block.fc_k(xr.tokens).data
-        v = block.fc_v(xr.tokens).data
-        ctx = attention_oracle(q, k_mat, v, 1.0 / np.sqrt(8))
-        grid = ctx.T.reshape(8, 2, 2)
-        up = bilinear_resize_oracle(grid, 4, 4)
-        ctx_tokens = up.reshape(8, 16).T
-        ref_rgb = xr.tokens.data + ctx_tokens @ block.fc_out_rgb.w.data + block.fc_out_rgb.b.data
-        ref_depth = xd.tokens.data + ctx_tokens @ block.fc_out_depth.w.data + block.fc_out_depth.b.data
-        worst = max(worst, float(np.abs(out_rgb.tokens.data - ref_rgb).max()),
-                    float(np.abs(out_depth.tokens.data - ref_depth).max()))
-    return worst <= 1e-5, f"max abs err {worst:.2e}"
+@_oracle_check(seed=5)
+def check_mhsa_oracle(rng, i):
+    attn = MultiHeadSelfAttention(8, 1, rng=rng, dtype=np.float64)
+    x = rng.normal(size=(5, 8))
+    got = attn(T.Tensor(x)).data
+    w = attn.qkv.w.data
+    b = attn.qkv.b.data
+    return got, mhsa_oracle(x, w[:, :8], w[:, 8:16], w[:, 16:], b[:8], b[8:16],
+                            b[16:], attn.proj.w.data, attn.proj.b.data)
+
+
+@_oracle_check(seed=6)
+def check_fuse_oracle(rng, i):
+    block = FusionBlock(8, attn_dim=8, k=2, rng=rng, dtype=np.float64)
+    xr = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8))))
+    xd = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8))))
+    out_rgb, out_depth = block(xr, xd)
+    q = block.make_query(xr, xd).data
+    k_mat = block.fc_k(xr.tokens).data
+    v = block.fc_v(xr.tokens).data
+    ctx = attention_oracle(q, k_mat, v, 1.0 / np.sqrt(8))
+    grid = ctx.T.reshape(8, 2, 2)
+    up = bilinear_resize_oracle(grid, 4, 4)
+    ctx_tokens = up.reshape(8, 16).T
+    ref_rgb = xr.tokens.data + ctx_tokens @ block.fc_out_rgb.w.data + block.fc_out_rgb.b.data
+    ref_depth = xd.tokens.data + ctx_tokens @ block.fc_out_depth.w.data + block.fc_out_depth.b.data
+    return (np.stack([out_rgb.tokens.data, out_depth.tokens.data]),
+            np.stack([ref_rgb, ref_depth]))
 
 
 def check_per_op_grads():
     rng = make_rng(7)
+
+    def leaf(*shape):
+        return T.Tensor(rng.normal(size=shape), requires_grad=True)
+
+    a, b = leaf(3, 4), leaf(4, 2)
+    x = leaf(2, 4, 4)
+    y = leaf(3, 5)
+    g, bta, z = leaf(5), leaf(5), leaf(4, 5)
+    xc, wc, bc = leaf(2, 6, 6), leaf(3, 2, 3, 3), leaf(3)
+    # (name, tolerance, function summed, its parameters): linear ops at
+    # 1e-6 and 1e-5, nonlinear ones at 1e-3
+    table = [
+        ("matmul", 1e-6, lambda: T.matmul(a, b), [("a", a), ("b", b)]),
+        ("bilinear", 1e-5,
+         lambda: T.mul(T.bilinear_resize(x, 7, 5), T.bilinear_resize(x, 7, 5)), [("x", x)]),
+        ("softmax/gelu", 1e-3, lambda: T.mul(T.softmax(y, axis=-1), T.gelu(y)), [("y", y)]),
+        ("layer_norm", 1e-3, lambda: T.mul(T.layer_norm(z, g, bta), T.layer_norm(z, g, bta)),
+         [("z", z), ("gamma", g), ("beta", bta)]),
+        ("conv2d", 1e-3, lambda: T.gelu(T.conv2d(xc, wc, bc, stride=1, padding=1)),
+         [("x", xc), ("w", wc), ("b", bc)]),
+        ("softmax(scale=0.37)", 1e-3,
+         lambda: T.mul(T.softmax(y, axis=-1, scale=0.37), T.gelu(y)), [("y", y)]),
+    ]
     failures = []
-    # linear ops at 1e-6
-    a = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    b = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    rep = grad_check(lambda: T.sum_(T.matmul(a, b)), [("a", a), ("b", b)], tol=1e-6)
-    if not rep.passed:
-        failures.append(f"matmul {rep.max_error:.1e}")
-    x = T.Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
-    rep = grad_check(lambda: T.sum_(T.mul(T.bilinear_resize(x, 7, 5),
-                                          T.bilinear_resize(x, 7, 5))),
-                     [("x", x)], tol=1e-5)
-    if not rep.passed:
-        failures.append(f"bilinear {rep.max_error:.1e}")
-    # nonlinear ops at 1e-3
-    y = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    rep = grad_check(lambda: T.sum_(T.mul(T.softmax(y, axis=-1),
-                                          T.gelu(y))), [("y", y)], tol=1e-3)
-    if not rep.passed:
-        failures.append(f"softmax/gelu {rep.max_error:.1e}")
-    g = T.Tensor(rng.normal(size=5), requires_grad=True)
-    bta = T.Tensor(rng.normal(size=5), requires_grad=True)
-    z = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    rep = grad_check(lambda: T.sum_(T.mul(T.layer_norm(z, g, bta), T.layer_norm(z, g, bta))),
-                     [("z", z), ("gamma", g), ("beta", bta)], tol=1e-3)
-    if not rep.passed:
-        failures.append(f"layer_norm {rep.max_error:.1e}")
-    xc = T.Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
-    wc = T.Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-    bc = T.Tensor(rng.normal(size=3), requires_grad=True)
-    rep = grad_check(lambda: T.sum_(T.gelu(T.conv2d(xc, wc, bc, stride=1, padding=1))),
-                     [("x", xc), ("w", wc), ("b", bc)], tol=1e-3)
-    if not rep.passed:
-        failures.append(f"conv2d {rep.max_error:.1e}")
-    rep = grad_check(lambda: T.sum_(T.mul(T.softmax(y, axis=-1, scale=0.37),
-                                          T.gelu(y))), [("y", y)], tol=1e-3)
-    if not rep.passed:
-        failures.append(f"softmax(scale=0.37) {rep.max_error:.1e}")
+    for name, tol, f, params in table:
+        rep = grad_check(lambda: T.sum_(f()), params, tol=tol)
+        if not rep.passed:
+            failures.append(f"{name} {rep.max_error:.1e}")
     return not failures, "; ".join(failures) if failures else "all ops pass"
 
 
-def check_end_to_end_grad(entries=8):
+def check_end_to_end_grad():
     cfg = _toy_gradcheck_config()
     model = build_model(cfg, dtype=np.float64)
     rng = make_rng(11)
@@ -177,7 +162,7 @@ def check_end_to_end_grad(entries=8):
     # float64 build, so a small step keeps truncation error low without
     # hitting rounding noise
     rep = grad_check(f, list(model.named_parameters()), tol=1e-2,
-                     entries_per_param=entries, step=1e-4)
+                     entries_per_param=8, step=1e-4)
     return rep.passed and rep.checked_entries >= 200, str(rep)
 
 

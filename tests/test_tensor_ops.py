@@ -361,6 +361,24 @@ class TestBilinearResize:
         np.testing.assert_allclose(got, bilinear_resize_oracle(x, 4, 4), atol=1e-6)
 
 
+    # the toy fusion context (2x2 to 4x4), and ViT-B's at 240x320 (7x7 to 15x20)
+    @pytest.mark.parametrize("shape, size", [((16, 2, 2), (4, 4)), ((1536, 7, 7), (15, 20))])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_separable_formula(self, dtype, shape, size):
+        c, h, w = shape
+        rng = make_rng(12)
+        x = T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(c, *size)).astype(dtype)
+        out = T.bilinear_resize(x, *size)
+        T.backward(T.sum_(T.mul(out, T.Tensor(g))))
+        r, s = T._interp_matrix(h, size[0]), T._interp_matrix(w, size[1])
+        ref = r @ x.data.astype(np.float64) @ s.T
+        dx = r.T @ g.astype(np.float64) @ s
+        assert out.dtype == x.grad.dtype == dtype
+        assert out.data.tobytes() == ref.astype(dtype).tobytes()
+        assert x.grad.tobytes() == dx.astype(dtype).tobytes()
+
+
 def test_cached_interp_matrices_are_read_only():
     for make, args in [(T._interp_matrix, (5, 9)), (T._pool_matrix, (9, 4))]:
         m = make(*args)

@@ -134,6 +134,28 @@ def test_max_steps_respected():
     assert result.steps == 7
 
 
+def test_zero_max_steps_trains_nothing(tmp_path):
+    cfg = _toy_cfg()
+    model = build_model(cfg)
+    before = {n: p.data.copy() for n, p in model.named_parameters()}
+    result = train(model, _samples(), None, cfg, max_steps=0,
+                   ckpt_path=str(tmp_path / "best.ckpt"))
+    assert result.steps == 0
+    assert result.loss_history == [] and result.val_history == []
+    assert not (tmp_path / "best.ckpt").exists()
+    for n, p in model.named_parameters():
+        assert p.data.tobytes() == before[n].tobytes(), n
+
+
+@pytest.mark.parametrize("max_steps, epochs", [(1, [0]), (2, [0]), (3, [0, 1]), (4, [0, 1])])
+def test_cap_evaluates_each_epoch_it_stepped_in_once(max_steps, epochs):
+    # 4 samples at batch 2: two steps per epoch, so caps 2 and 4 end an epoch
+    result = train(build_model(_toy_cfg()), _samples(), None, _toy_cfg(),
+                   max_steps=max_steps, use_augment=False)
+    assert result.steps == max_steps
+    assert [e for e, _ in result.val_history] == epochs
+
+
 def test_evaluate_returns_bounded_miou():
     cfg = _toy_cfg()
     model = build_model(cfg)
