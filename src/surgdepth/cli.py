@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .checkpoint import load_model, save_model
 from .data import (SceneSpec, generate_dataset, load_dataset,
@@ -44,25 +44,31 @@ _CONFIG_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
 
 
 def read_config_file(path):
-    """Parse key=value lines into a dict of ModelConfig overrides."""
+    """Parse key=value lines into a dict of ModelConfig overrides (as strings)."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_FIELDS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            overrides[key] = value
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _CONFIG_FIELDS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            _coerce(key, value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+        overrides[key] = value
     return overrides
 
 
 def _coerce(key, value):
-    if value is None:
-        return None
     if key == "decoder_input":
         return str(value)
     if key in ("lr", "weight_decay"):
@@ -71,7 +77,6 @@ def _coerce(key, value):
 
 
 def make_model_config(args):
-    cfg = ModelConfig()
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(read_config_file(args.config))
@@ -82,9 +87,7 @@ def make_model_config(args):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
-    cfg = replace(cfg, **{k: _coerce(k, v) for k, v in overrides.items()})
-    cfg.validate()
-    return cfg
+    return ModelConfig(**{k: _coerce(k, v) for k, v in overrides.items()}).validate()
 
 
 def cmd_gen_data(args):

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .nn import Conv2d, LayerNorm, Linear
+from .nn import Conv2d, LayerNorm, Linear, Module
 
 
 def tokens_to_grid(tokens, h, w, p):
@@ -43,15 +43,15 @@ def grid_to_tokens(grid, h, w, p):
     return T.reshape(x, (h * w, t * t * c))
 
 
-class ConvNeXtBlock:
+class ConvNeXtBlock(Module):
     """Residual block: depthwise 7x7 conv, layer norm, 4x pointwise MLP."""
 
-    def __init__(self, dim, rng=None, dtype=np.float32, zero_init_pw2=False):
+    def __init__(self, dim, rng, dtype=np.float32):
         self.dim = dim
         self.dwconv = Conv2d(dim, dim, 7, padding=3, groups=dim, rng=rng, dtype=dtype)
         self.norm = LayerNorm(dim, dtype=dtype)
         self.pw1 = Linear(dim, 4 * dim, rng=rng, dtype=dtype)
-        self.pw2 = Linear(4 * dim, dim, rng=rng, dtype=dtype, zero_init=zero_init_pw2)
+        self.pw2 = Linear(4 * dim, dim, rng=rng, dtype=dtype)
 
     def __call__(self, x):
         d, h, w = x.shape
@@ -63,25 +63,16 @@ class ConvNeXtBlock:
         y = T.permute(T.reshape(y, (h, w, d)), (2, 0, 1))
         return T.add(x, y)
 
-    def named_parameters(self, prefix=""):
-        yield from self.dwconv.named_parameters(prefix + "dwconv.")
-        yield from self.norm.named_parameters(prefix + "norm.")
-        yield from self.pw1.named_parameters(prefix + "pw1.")
-        yield from self.pw2.named_parameters(prefix + "pw2.")
 
-
-class Decoder:
+class Decoder(Module):
     """Expand -> pixel-shuffle reshape -> ConvNeXt blocks -> 1x1 head -> upsample."""
 
-    def __init__(self, in_dim, patch, num_classes, n_blocks=4, rng=None,
-                 dtype=np.float32):
+    def __init__(self, in_dim, patch, num_classes, rng, n_blocks=4, dtype=np.float32):
         if in_dim % 8:
             raise ConfigError(f"decoder input dim {in_dim} must be divisible by 8")
         if patch % 4:
             raise ConfigError(f"patch size {patch} must be divisible by 4")
-        self.in_dim = in_dim
         self.patch = patch
-        self.num_classes = num_classes
         t = patch // 4
         self.grid_dim = in_dim // 8
         self.expand = Linear(in_dim, t * t * self.grid_dim, rng=rng, dtype=dtype)
@@ -99,9 +90,3 @@ class Decoder:
             grid = block(grid)
         logits = self.head(grid)
         return T.bilinear_resize(logits, out_h, out_w)
-
-    def named_parameters(self, prefix=""):
-        yield from self.expand.named_parameters(prefix + "expand.")
-        for i, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"{prefix}blocks.{i}.")
-        yield from self.head.named_parameters(prefix + "head.")

@@ -7,14 +7,13 @@ separate output projections, so the block preserves shapes and is the
 identity when the output projections are zero.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .nn import Linear
+from .nn import Linear, Module, attention
 
 
 @dataclass
@@ -46,21 +45,18 @@ def grid_from_chw(x):
     return TokenGrid(h, w, tokens)
 
 
-class FusionBlock:
+class FusionBlock(Module):
     """3D-awareness fusion: pooled-query cross-attention over RGB tokens."""
 
-    def __init__(self, channels, attn_dim=None, k=7, rng=None, dtype=np.float32,
-                 out_zero_init=False):
+    def __init__(self, channels, rng, attn_dim=None, k=7, dtype=np.float32):
         self.channels = channels
         self.attn_dim = attn_dim if attn_dim is not None else 2 * channels
         self.k = k
         self.fc_q = Linear(2 * channels, self.attn_dim, rng=rng, dtype=dtype)
         self.fc_k = Linear(channels, self.attn_dim, rng=rng, dtype=dtype)
         self.fc_v = Linear(channels, self.attn_dim, rng=rng, dtype=dtype)
-        self.fc_out_rgb = Linear(self.attn_dim, channels, rng=rng, dtype=dtype,
-                                 zero_init=out_zero_init)
-        self.fc_out_depth = Linear(self.attn_dim, channels, rng=rng, dtype=dtype,
-                                   zero_init=out_zero_init)
+        self.fc_out_rgb = Linear(self.attn_dim, channels, rng=rng, dtype=dtype)
+        self.fc_out_depth = Linear(self.attn_dim, channels, rng=rng, dtype=dtype)
 
     def _check(self, x_rgb, x_depth):
         if (x_rgb.h, x_rgb.w, x_rgb.channels) != (x_depth.h, x_depth.w, x_depth.channels):
@@ -87,21 +83,13 @@ class FusionBlock:
         q = self.make_query(x_rgb, x_depth if query_depth is None else query_depth)
         k_mat = self.fc_k(x_rgb.tokens)   # (h*w, C_d)
         v = self.fc_v(x_rgb.tokens)       # (h*w, C_d)
-        scale = 1.0 / math.sqrt(self.attn_dim)
-        attn = T.softmax(T.matmul(q, T.permute(k_mat, (1, 0))), axis=-1, scale=scale)
-        ctx = T.matmul(attn, v)           # (k^2, C_d)
+        ctx = attention(q, k_mat, v)      # (k^2, C_d)
         ctx_grid = TokenGrid(self.k, self.k, ctx).to_chw()          # (C_d,k,k)
         up = T.bilinear_resize(ctx_grid, h, w)                      # (C_d,h,w)
         ctx_tokens = grid_from_chw(up).tokens                       # (h*w, C_d)
         out_rgb = T.add(x_rgb.tokens, self.fc_out_rgb(ctx_tokens))
         out_depth = T.add(x_depth.tokens, self.fc_out_depth(ctx_tokens))
         return TokenGrid(h, w, out_rgb), TokenGrid(h, w, out_depth)
-
-    def named_parameters(self, prefix=""):
-        for tag, layer in (("fc_q", self.fc_q), ("fc_k", self.fc_k),
-                           ("fc_v", self.fc_v), ("fc_out_rgb", self.fc_out_rgb),
-                           ("fc_out_depth", self.fc_out_depth)):
-            yield from layer.named_parameters(f"{prefix}{tag}.")
 
 
 def attention_oracle(q, k_mat, v, scale):

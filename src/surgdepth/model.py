@@ -10,6 +10,7 @@ from .decoder import Decoder
 from .encoder import Encoder, PatchEmbed
 from .errors import ConfigError, ShapeError
 from .fusion import FusionBlock
+from .nn import Module
 from .rng import DeferredInit, make_rng
 
 DECODER_INPUTS = ("rgb_only", "rgb_and_depth")
@@ -71,7 +72,7 @@ def full_vitb_config(decoder_input="rgb_only"):
                        decoder_input=decoder_input)
 
 
-class Model:
+class Model(Module):
     """RGB and depth patch embeddings, fusion block, ViT encoder, decoder.
 
     Weights are drawn on first use. The build records every random init;
@@ -131,17 +132,11 @@ class Model:
         if self._init.draws:
             self._init.replay(make_rng(self.cfg.seed))
 
+    _named_parameters = Module.named_parameters  # draws nothing
+
     def named_parameters(self):
         self._materialize()
         yield from self._named_parameters()
-
-    def _named_parameters(self):
-        """(name, Tensor) pairs without drawing the deferred init."""
-        yield from self.patch_embed_rgb.named_parameters("patch_embed_rgb.")
-        yield from self.patch_embed_depth.named_parameters("patch_embed_depth.")
-        yield from self.fusion.named_parameters("fusion.")
-        yield from self.encoder.named_parameters("encoder.")
-        yield from self.decoder.named_parameters("decoder.")
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]

@@ -1,9 +1,16 @@
 """Small parameterized layers built on the tensor core.
 
-Each layer owns its parameter Tensors and exposes ``named_parameters``
-yielding (name, Tensor) pairs in a stable order; the model wires these
-into optimizer and checkpoint code.
+Every layer is a ``Module``. ``Module.named_parameters(prefix)`` walks
+the layer's attributes in assignment order and yields (name, Tensor)
+pairs: a Tensor with ``requires_grad`` as ``prefix + attr``, a Module
+attribute walked under ``prefix + attr + "."``, and a list attribute,
+which holds Modules, walked item by item under
+``prefix + attr + "." + index + "."``. Other attributes are skipped. So the order in which ``__init__``
+assigns parameters and child layers is the state-dict order, the
+optimizer's order and the checkpoint layout.
 """
+
+import math
 
 import numpy as np
 
@@ -12,29 +19,40 @@ from .errors import ConfigError
 from .rng import trunc_normal
 
 
-class Linear:
+class Module:
+    def named_parameters(self, prefix=""):
+        for attr, value in vars(self).items():
+            if isinstance(value, T.Tensor):
+                if value.requires_grad:
+                    yield prefix + attr, value
+            elif isinstance(value, Module):
+                yield from value.named_parameters(f"{prefix}{attr}.")
+            elif isinstance(value, list):
+                for i, module in enumerate(value):
+                    yield from module.named_parameters(f"{prefix}{attr}.{i}.")
+
+
+def attention(q, k, v):
+    """softmax(q @ k^T / sqrt(d)) @ v over the last two axes, d = q.shape[-1]."""
+    lead = len(k.shape) - 2
+    axes = (*range(lead), lead + 1, lead)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    return T.matmul(T.softmax(T.matmul(q, T.permute(k, axes)), axis=-1, scale=scale), v)
+
+
+class Linear(Module):
     """y = x @ w + b with w of shape (in_features, out_features)."""
 
-    def __init__(self, in_features, out_features, rng=None, dtype=np.float32,
-                 zero_init=False):
-        self.in_features = in_features
-        self.out_features = out_features
-        if zero_init:
-            w = np.zeros((in_features, out_features), dtype=dtype)
-        else:
-            w = trunc_normal(rng, (in_features, out_features), dtype=dtype)
-        self.w = T.Tensor(w, requires_grad=True)
+    def __init__(self, in_features, out_features, rng, dtype=np.float32):
+        self.w = T.Tensor(trunc_normal(rng, (in_features, out_features), dtype=dtype),
+                          requires_grad=True)
         self.b = T.Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
         return T.add(T.matmul(x, self.w), self.b)
 
-    def named_parameters(self, prefix=""):
-        yield prefix + "w", self.w
-        yield prefix + "b", self.b
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim, dtype=np.float32):
         self.gamma = T.Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.beta = T.Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
@@ -42,28 +60,19 @@ class LayerNorm:
     def __call__(self, x):
         return T.layer_norm(x, self.gamma, self.beta)
 
-    def named_parameters(self, prefix=""):
-        yield prefix + "gamma", self.gamma
-        yield prefix + "beta", self.beta
 
-
-class Conv2d:
-    def __init__(self, in_channels, out_channels, kernel_size, stride=1,
-                 padding=0, groups=1, rng=None, dtype=np.float32, zero_init=False):
+class Conv2d(Module):
+    def __init__(self, in_channels, out_channels, kernel_size, rng, stride=1,
+                 padding=0, groups=1, dtype=np.float32):
         if in_channels % groups or out_channels % groups:
             raise ConfigError("channels must be divisible by groups")
         self.stride = stride
         self.padding = padding
         self.groups = groups
         shape = (out_channels, in_channels // groups, kernel_size, kernel_size)
-        w = np.zeros(shape, dtype=dtype) if zero_init else trunc_normal(rng, shape, dtype=dtype)
-        self.w = T.Tensor(w, requires_grad=True)
+        self.w = T.Tensor(trunc_normal(rng, shape, dtype=dtype), requires_grad=True)
         self.b = T.Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride,
                         padding=self.padding, groups=self.groups)
-
-    def named_parameters(self, prefix=""):
-        yield prefix + "w", self.w
-        yield prefix + "b", self.b

@@ -177,8 +177,11 @@ class Tensor:
 
 
 def as_tensor(x):
+    """A Tensor as is; a float64 ndarray stays float64; all else is float32."""
     if isinstance(x, Tensor):
         return x
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return Tensor(x)
     return Tensor(np.asarray(x, dtype=np.float32))
 
 

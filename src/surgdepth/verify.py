@@ -170,7 +170,9 @@ def check_identity_suite():
     rng = make_rng(8)
     failures = []
     # fusion residual identity at zero output projections
-    block = FusionBlock(8, attn_dim=8, k=2, rng=rng, out_zero_init=True)
+    block = FusionBlock(8, attn_dim=8, k=2, rng=rng)
+    block.fc_out_rgb.w.data[:] = 0
+    block.fc_out_depth.w.data[:] = 0
     xr = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8)).astype(np.float32)))
     xd = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8)).astype(np.float32)))
     orr, odd = block(xr, xd)
@@ -180,12 +182,13 @@ def check_identity_suite():
     # transformer block identity with zero branch outputs
     tb = TransformerBlock(8, 2, rng=rng)
     tb.attn.proj.w.data[:] = 0
-    tb.fc2.w.data[:] = 0
+    tb.mlp.fc2.w.data[:] = 0
     x = T.Tensor(rng.normal(size=(6, 8)).astype(np.float32))
     if not np.array_equal(tb(x).data, x.data):
         failures.append("transformer zero-branch identity")
     # convnext block identity with zero pw2
-    cb = ConvNeXtBlock(8, rng=rng, zero_init_pw2=True)
+    cb = ConvNeXtBlock(8, rng=rng)
+    cb.pw2.w.data[:] = 0
     xg = T.Tensor(rng.normal(size=(8, 6, 6)).astype(np.float32))
     if not np.array_equal(cb(xg).data, xg.data):
         failures.append("convnext zero-pw2 identity")

@@ -68,6 +68,33 @@ class TestUsage:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, where", [
+        ("lr=abc\n", ":1: bad value 'abc' for 'lr'"),
+        ("# header\nepochs=1.5\n", ":2: bad value '1.5' for 'epochs'")],
+        ids=["lr-not-a-float", "epochs-not-an-int"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, dataset, capsys,
+                                             config, where):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg), "--data", dataset, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}{where}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"lr=\xff\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, dataset, capsys,
+                                                   content):
+        cfg = tmp_path / "cfg.txt"
+        if content is not None:
+            cfg.write_bytes(content)
+        code = main(["train", "--config", str(cfg), "--data", dataset,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "Traceback" not in err
+
 
 class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):

@@ -44,7 +44,8 @@ class TestConvNeXtBlock:
 
     def test_zero_init_pw2_is_identity(self):
         rng = make_rng(2)
-        block = ConvNeXtBlock(8, rng=rng, zero_init_pw2=True)
+        block = ConvNeXtBlock(8, rng=rng)
+        block.pw2.w.data[:] = 0
         x = rng.normal(size=(8, 5, 6)).astype(np.float32)
         np.testing.assert_array_equal(block(T.Tensor(x)).data, x)
 

@@ -55,7 +55,9 @@ def test_attn_dim_defaults_to_twice_channels():
 
 def test_zero_output_projection_is_identity():
     rng = make_rng(3)
-    block = FusionBlock(8, k=3, rng=rng, out_zero_init=True)
+    block = FusionBlock(8, k=3, rng=rng)
+    block.fc_out_rgb.w.data[:] = 0
+    block.fc_out_depth.w.data[:] = 0
     gr, gd = _grids(rng)
     orr, odd = block(gr, gd)
     np.testing.assert_array_equal(orr.tokens.data, gr.tokens.data)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from surgdepth import rng as rng_mod
+from surgdepth import tensor as T
 from surgdepth.errors import ConfigError, ShapeError
 from surgdepth.model import (ModelConfig, build_model, full_vitb_config,
                              param_count)
@@ -148,6 +149,35 @@ def test_default_init_digest_is_pinned():
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == "3c7b35a631f2ef48084c344314fc913c64afd0e2a9673a1b11976ab0b1b51cf8"
+
+
+@pytest.mark.parametrize("cfg, count, digest", [
+    (ModelConfig(decoder_input="rgb_and_depth"), 78,
+     "b36b98cf20b1022213344dbca087df2c09b8704e0cab67c1c0c2a60e962a96be"),
+    (full_vitb_config(), 198,
+     "b34bfa5831a8dd8305f03219299f782f9b4b5998a1227aae7b2c9ba1dded5905"),
+], ids=["toy-rgb_and_depth", "full-vitb"])
+def test_parameter_layout_is_pinned(cfg, count, digest):
+    """(name, shape) in state-dict order: the checkpoint layout. Read
+    without drawing the init, so the ViT-B pin costs milliseconds."""
+    layout = [(name, p.shape) for name, p in build_model(cfg)._named_parameters()]
+    assert len(layout) == count
+    assert hashlib.sha256(repr(layout).encode()).hexdigest() == digest
+
+
+def test_float64_model_runs_every_op_in_float64(monkeypatch):
+    """Patch embeddings included: the inputs are not rounded to float32."""
+    dtypes = []
+    from_op = T.Tensor._from_op.__func__
+
+    def record(cls, data, parents, vjp):
+        dtypes.append(np.asarray(data).dtype)
+        return from_op(cls, data, parents, vjp)
+
+    monkeypatch.setattr(T.Tensor, "_from_op", classmethod(record))
+    cfg = _toy_cfg()
+    build_model(cfg, dtype=np.float64)(*_inputs(cfg))
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
