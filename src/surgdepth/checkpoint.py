@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DataError, FormatError
 
 MAGIC = b"SRGD0001\n"
 
@@ -79,6 +79,14 @@ def _read_manifest(fh, path):
     return entries, base
 
 
+def _open(path):
+    """``path`` opened for binary reading; DataError if there is no such file."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise DataError(f"{path}: no such file") from None
+
+
 def _read_buffer(fh, path, base, name, off, arr):
     """Fill the C-contiguous float32 ``arr`` from payload offset ``off``."""
     fh.seek(base + off)
@@ -93,7 +101,7 @@ def load_checkpoint(path):
     Each parameter is read straight into its own array, so the payload
     is copied once, however large the model.
     """
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         entries, base = _read_manifest(fh, path)
         return {name: _read_buffer(fh, path, base, name, off, np.empty(shape, "<f4"))
                 for name, shape, off in entries}
@@ -112,7 +120,7 @@ def load_model(path, model):
     buffer. No state dict is built, and the model's deferred init never
     runs.
     """
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         entries, base = _read_manifest(fh, path)
         offsets = {name: off for name, _, off in entries}
         staging = np.empty(0, "<f4")

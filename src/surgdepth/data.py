@@ -12,7 +12,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import DataError, FormatError
 from .losses import IGNORE_INDEX
@@ -195,6 +194,37 @@ def hflip(sample):
     )
 
 
+def gaussian_blur(img, sigma):
+    """Blur each channel of a float32 (C,H,W) raster by a Gaussian of std
+    ``sigma``, edges repeated; float32 bits equal to SciPy's
+    ``gaussian_filter(img[c], sigma, mode="nearest")``.
+
+    As SciPy does: weights ``exp(-0.5 / sigma**2 * x**2)`` for ``|x|`` up to
+    ``int(4 * sigma + 0.5)``, over their sum; a float64 pass along H rounded
+    to float32, then one along W, each summing ``center * w[0]`` and then
+    ``(left + right) * w[j]`` from the outermost pair inward. The result is
+    C-contiguous, as color_jitter's mean needs to sum in the same order.
+    """
+    r = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (phi / phi.sum())[r:]
+    out = img
+    # H, then W. Each pass blurs axis 1, where every shifted slice is a run
+    # of whole rows (at 64x64 about 1.4x faster than slicing the last axis),
+    # then swaps it last.
+    for _ in range(2):
+        n = out.shape[1]
+        pad = out[:, np.clip(np.arange(-r, n + r), 0, n - 1)].astype(np.float64, order="C")
+        acc = pad[:, r:r + n] * w[0]
+        pair = np.empty_like(acc)
+        for j in range(r, 0, -1):
+            np.add(pad[:, r - j:r - j + n], pad[:, r + j:r + j + n], out=pair)
+            pair *= w[j]
+            acc += pair
+        out = acc.astype(np.float32).transpose(0, 2, 1)
+    return np.ascontiguousarray(out)
+
+
 def augment(sample, rng):
     """Random flip (joint), gaussian blur and color jitter (RGB only)."""
     out = sample
@@ -203,8 +233,7 @@ def augment(sample, rng):
     rgb = out.rgb
     if rng.random() < BLUR_P:
         sigma = rng.uniform(*BLUR_SIGMA)
-        rgb = np.stack([gaussian_filter(rgb[c], sigma, mode="nearest")
-                        for c in range(3)]).astype(np.float32)
+        rgb = gaussian_blur(rgb, sigma)
     rng.random()   # the jitter's coin (p = 1): later draws keep their place
     rgb = color_jitter(rgb, rng)
     return RgbdSample(rgb=rgb, depth=out.depth, label=out.label,

@@ -99,6 +99,28 @@ def bilinear_resize_oracle(x, h_out, w_out):
     return out
 
 
+def gaussian_blur_oracle(img, sigma):
+    """Per-pixel Gaussian blur of each channel of a (C,H,W) raster, edges
+    repeated, in SciPy's order: a float64 sum along H rounded to float32,
+    then one along W, each ``center * w[0]`` plus ``(left + right) * w[j]``
+    from the outermost pair inward. The weights are built with NumPy as
+    SciPy builds them, since their bits are part of the result."""
+    r = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = [float(v) for v in (phi / phi.sum())[r:]]
+    out = np.array(img, dtype=np.float32)
+    for axis in (1, 2):
+        src = out.astype(np.float64)
+        for ch, i, j in np.ndindex(out.shape):
+            line, pos = (src[ch, :, j], i) if axis == 1 else (src[ch, i, :], j)
+            acc = float(line[pos]) * w[0]
+            for k in range(r, 0, -1):
+                left, right = line[max(pos - k, 0)], line[min(pos + k, len(line) - 1)]
+                acc += (float(left) + float(right)) * w[k]
+            out[ch, i, j] = acc
+    return out
+
+
 def mhsa_oracle(x, wq, wk, wv, bq, bk, bv, w_proj, b_proj):
     """Single-head self-attention via composed loops."""
     x = np.asarray(x, dtype=np.float64)

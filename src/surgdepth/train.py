@@ -58,7 +58,9 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     Best checkpoint (by validation mIoU) is written to ckpt_path when
     given; metrics stream to metrics_path as line-delimited JSON.
     ``max_steps`` caps the optimizer steps; at 0 nothing is trained or
-    evaluated.
+    evaluated. Each step's autodiff graph (logits, losses, saved
+    activations) is released when the step ends, so memory holds one
+    step's graph at a time.
     """
     if not train_samples:
         raise ValueError("empty training set")
@@ -69,6 +71,30 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     t0 = time.monotonic()
     metrics_fh = open(metrics_path, "w") if metrics_path else None
     best_state = None
+
+    def train_step(batch):
+        """Forward, backward and update on one batch; the loss as a float.
+        The step's graph is bound only in this frame, so it is freed on
+        return, before the next step's forwards run."""
+        losses = []
+        for i in batch:
+            s = train_samples[i]
+            if use_augment:
+                s = augment(s, rng)
+            try:
+                logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
+                losses.append(cross_entropy_loss(logits, s.label))
+            except NumericError as e:
+                raise NumericError(f"{e} {_at_step(step, cfg.lr, opt)}") from e
+        loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
+        loss_val = loss.item()
+        if not np.isfinite(loss_val):
+            raise NumericError(f"NaN/Inf loss {_at_step(step, cfg.lr, opt)}")
+        opt.zero_grad()
+        T.backward(loss)
+        opt.step()
+        return loss_val
+
     try:
         step = 0
         for epoch in range(cfg.epochs):
@@ -76,24 +102,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                 break   # checked before a step, so a cap of 0 trains nothing
             order = rng.permutation(len(train_samples))
             for start in range(0, len(order), cfg.batch_size):
-                batch = order[start:start + cfg.batch_size]
-                losses = []
-                for i in batch:
-                    s = train_samples[i]
-                    if use_augment:
-                        s = augment(s, rng)
-                    try:
-                        logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
-                        losses.append(cross_entropy_loss(logits, s.label))
-                    except NumericError as e:
-                        raise NumericError(f"{e} {_at_step(step, cfg.lr, opt)}") from e
-                loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
-                loss_val = loss.item()
-                if not np.isfinite(loss_val):
-                    raise NumericError(f"NaN/Inf loss {_at_step(step, cfg.lr, opt)}")
-                opt.zero_grad()
-                T.backward(loss)
-                opt.step()
+                loss_val = train_step(order[start:start + cfg.batch_size])
                 step += 1
                 result.loss_history.append((step, loss_val))
                 if metrics_fh:

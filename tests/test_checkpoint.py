@@ -6,7 +6,7 @@ import pytest
 from surgdepth import rng as rng_mod
 from surgdepth.checkpoint import (MAGIC, load_checkpoint, load_model,
                                   save_checkpoint, save_model)
-from surgdepth.errors import ConfigError, FormatError
+from surgdepth.errors import ConfigError, DataError, FormatError
 from surgdepth.model import ModelConfig, build_model
 from surgdepth.rng import make_rng
 
@@ -52,6 +52,14 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTM0001\n\n")
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("load", [load_checkpoint,
+                                  lambda path: load_model(path, build_model(_toy_cfg()))],
+                         ids=["load_checkpoint", "load_model"])
+def test_missing_file_is_data_error(tmp_path, load):
+    with pytest.raises(DataError, match="none.srgd: no such file"):
+        load(tmp_path / "none.srgd")
 
 
 def test_truncated_payload_rejected(tmp_path):

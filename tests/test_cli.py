@@ -245,6 +245,12 @@ class TestTrainEval:
         assert code == EXIT_DATA
         assert "000001_label.pgm: no such file" in capsys.readouterr().err
 
+    def test_missing_checkpoint_exits_65(self, tmp_path, dataset, capsys):
+        missing = tmp_path / "none.ckpt"
+        code = main(["eval", *TOY_FLAGS, "--data", dataset, "--ckpt", str(missing)])
+        assert code == EXIT_DATA
+        assert f"{missing}: no such file" in capsys.readouterr().err
+
     def test_missing_manifest_exits_65(self, tmp_path, capsys):
         code = main(["eval", *TOY_FLAGS, "--data", str(tmp_path)])
         assert code == EXIT_DATA

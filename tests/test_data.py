@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from surgdepth.data import (AMBIGUOUS_COLOR, FAR_DEPTH, NEAR_DEPTH, RgbdSample,
-                            SceneSpec, _read_pnm, _write_pnm, augment,
-                            color_jitter, generate_dataset, generate_sample,
-                            hflip, load_dataset, read_sample,
+from surgdepth.data import (AMBIGUOUS_COLOR, BLUR_SIGMA, FAR_DEPTH, NEAR_DEPTH,
+                            RgbdSample, SceneSpec, _read_pnm, _write_pnm, augment,
+                            color_jitter, gaussian_blur, generate_dataset,
+                            generate_sample, hflip, load_dataset, read_sample,
                             rgb_ambiguous_fraction, split_dataset,
                             write_dataset, write_sample)
 from surgdepth.errors import DataError, FormatError
 from surgdepth.losses import IGNORE_INDEX
+from surgdepth.oracles import gaussian_blur_oracle
 from surgdepth.rng import make_rng
 
 
@@ -116,6 +117,31 @@ class TestAugment:
         a = augment(s, make_rng(7))
         b = augment(s, make_rng(7))
         np.testing.assert_array_equal(a.rgb, b.rgb)
+
+    # below sigma 0.125 the radius is 0; at 2.0 it is 8, past every side here
+    @pytest.mark.parametrize("sigma", [BLUR_SIGMA[0], 0.124, 0.125, 0.6, 1.3,
+                                       BLUR_SIGMA[1]])
+    def test_gaussian_blur_matches_loop_oracle_bit_for_bit(self, sigma):
+        rng = make_rng(5)
+        for h, w in [(7, 6), (3, 5), (1, 4)]:
+            img = rng.random((3, h, w)).astype(np.float32)
+            got = gaussian_blur(img, sigma)
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert got.tobytes() == gaussian_blur_oracle(img, sigma).tobytes(), (h, w)
+
+    def test_gaussian_blur_matches_scipy_bit_for_bit(self):
+        """SciPy's filter blurred the images behind perfbench's stored
+        train_toy references."""
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = make_rng(6)
+        shapes = [(64, 64)] + [tuple(int(v) for v in rng.integers(1, 40, size=2))
+                               for _ in range(60)]
+        for h, w in shapes:
+            sigma = float(rng.uniform(*BLUR_SIGMA))
+            img = rng.random((3, h, w)).astype(np.float32)
+            want = np.stack([ndimage.gaussian_filter(c, sigma, mode="nearest")
+                             for c in img])
+            assert gaussian_blur(img, sigma).tobytes() == want.tobytes(), (h, w, sigma)
 
 
 class TestNetpbm:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported.
+"""Every name a package module imports is used there or re-exported, and
+the package imports nothing beyond NumPy at run time.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: a name bound by ``import`` or ``from ... import`` must appear as a
@@ -7,7 +8,10 @@ __future__`` imports are compiler directives and are skipped.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +49,15 @@ def test_every_import_is_used(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in _imported_names(tree) if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_runtime_loads_no_scipy():
+    """Importing every package module, the CLI included, loads no SciPy."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    names = ["surgdepth"] + [f"surgdepth.{p.stem}" for p in MODULES if p.stem != "__init__"]
+    code = (f"import importlib, sys\nfor m in {names!r}:\n"
+            "    importlib.import_module(m)\nprint('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from surgdepth.data import SceneSpec, generate_dataset
 from surgdepth.errors import NumericError
 from surgdepth.losses import cross_entropy_loss
 from surgdepth.model import Model, ModelConfig, build_model, param_count
+from surgdepth.optim import AdamW
 from surgdepth.train import (DECODER_DEPTH_REFERENCE, ablate_decoder_depth,
                              ablate_decoder_input, evaluate, train)
 
@@ -102,6 +104,32 @@ def test_nan_loss_at_step_zero_reports_no_grad_norm(monkeypatch):
     with pytest.raises(NumericError, match=r"at step 0 .*grad_norm=n/a\)"):
         train(build_model(cfg), _samples(), None, cfg, max_steps=1,
               use_augment=False)
+
+
+def test_step_graph_freed_when_the_step_ends(monkeypatch):
+    """At every forward, no logits of an earlier step is alive. The tape
+    has no reference cycles, so this holds with no gc.collect(). Tensor
+    takes no weakref (it has __slots__), so each logits' data array is
+    watched: only the logits Tensor and the graph on it hold that array."""
+    steps, seen = [0], []   # optimizer steps done; (step, weakref) per forward
+    forward, opt_step = Model.__call__, AdamW.step
+
+    def call(self, *args, **kwargs):
+        alive = [step for step, ref in seen if step < steps[0] and ref() is not None]
+        assert not alive, f"logits of steps {alive} alive at step {steps[0]}"
+        out = forward(self, *args, **kwargs)
+        seen.append((steps[0], weakref.ref(out.data)))
+        return out
+
+    def step(self):
+        opt_step(self)
+        steps[0] += 1
+
+    monkeypatch.setattr(Model, "__call__", call)
+    monkeypatch.setattr(AdamW, "step", step)
+    cfg = _toy_cfg()
+    train(build_model(cfg), _samples(), None, cfg, max_steps=4)
+    assert steps[0] == 4 and len(seen) > 8   # 2 per step, then evaluation
 
 
 def test_metrics_jsonl_stream(tmp_path):
