@@ -54,6 +54,9 @@ class SceneSpec:
             raise DataError("depth_coupling must be in [0,1]")
         if self.num_classes < 3:
             raise DataError("need at least 3 classes (background + coupled pair)")
+        if self.num_classes > IGNORE_INDEX:
+            raise DataError(f"at most {IGNORE_INDEX} classes: labels are 8-bit and "
+                            f"{IGNORE_INDEX} means ignore")
         return self
 
 
@@ -109,6 +112,8 @@ def generate_dataset(spec, n, h, w):
     spec.validate()
     if n < 1:
         raise DataError("need at least one sample")
+    if h < 1 or w < 1:
+        raise DataError(f"image size {h}x{w} has a side below 1")
     return [generate_sample(spec, i, h, w) for i in range(n)]
 
 
@@ -289,6 +294,8 @@ def _read_pnm(path, expect_magic):
         raise FormatError(f"{path}: malformed header integer", offset=pos) from None
     if not 1 <= maxval <= 65535:
         raise FormatError(f"{path}: maxval {maxval} outside 1..65535", offset=pos)
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: raster size {w}x{h} has a side below 1", offset=pos)
     pos += 1  # single whitespace byte after maxval
     channels = 3 if expect_magic == "P6" else 1
     itemsize = 2 if maxval > 255 else 1

@@ -7,8 +7,6 @@ as a (p/4)x(p/4) spatial tile of D/8 channels (pixel-shuffle), giving a
 upsampling restores full resolution.
 """
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .nn import Conv2d, LayerNorm, Linear, Module
@@ -46,12 +44,12 @@ def grid_to_tokens(grid, h, w, p):
 class ConvNeXtBlock(Module):
     """Residual block: depthwise 7x7 conv, layer norm, 4x pointwise MLP."""
 
-    def __init__(self, dim, rng, dtype=np.float32):
+    def __init__(self, dim, rng):
         self.dim = dim
-        self.dwconv = Conv2d(dim, dim, 7, padding=3, groups=dim, rng=rng, dtype=dtype)
-        self.norm = LayerNorm(dim, dtype=dtype)
-        self.pw1 = Linear(dim, 4 * dim, rng=rng, dtype=dtype)
-        self.pw2 = Linear(4 * dim, dim, rng=rng, dtype=dtype)
+        self.dwconv = Conv2d(dim, dim, 7, padding=3, groups=dim, rng=rng)
+        self.norm = LayerNorm(dim)
+        self.pw1 = Linear(dim, 4 * dim, rng=rng)
+        self.pw2 = Linear(4 * dim, dim, rng=rng)
 
     def __call__(self, x):
         d, h, w = x.shape
@@ -67,7 +65,7 @@ class ConvNeXtBlock(Module):
 class Decoder(Module):
     """Expand -> pixel-shuffle reshape -> ConvNeXt blocks -> 1x1 head -> upsample."""
 
-    def __init__(self, in_dim, patch, num_classes, rng, n_blocks=4, dtype=np.float32):
+    def __init__(self, in_dim, patch, num_classes, rng, n_blocks=4):
         if in_dim % 8:
             raise ConfigError(f"decoder input dim {in_dim} must be divisible by 8")
         if patch % 4:
@@ -75,10 +73,10 @@ class Decoder(Module):
         self.patch = patch
         t = patch // 4
         self.grid_dim = in_dim // 8
-        self.expand = Linear(in_dim, t * t * self.grid_dim, rng=rng, dtype=dtype)
-        self.blocks = [ConvNeXtBlock(self.grid_dim, rng=rng, dtype=dtype)
+        self.expand = Linear(in_dim, t * t * self.grid_dim, rng=rng)
+        self.blocks = [ConvNeXtBlock(self.grid_dim, rng=rng)
                        for _ in range(n_blocks)]
-        self.head = Conv2d(self.grid_dim, num_classes, 1, rng=rng, dtype=dtype)
+        self.head = Conv2d(self.grid_dim, num_classes, 1, rng=rng)
 
     def __call__(self, tokens, h, w, out_h, out_w):
         if out_h != self.patch * h or out_w != self.patch * w:

@@ -20,10 +20,10 @@ MLP_RATIO = 4   # MLP hidden width per embedding width
 class PatchEmbed(Module):
     """Non-overlapping patch projection: a single strided convolution."""
 
-    def __init__(self, in_channels, embed_dim, patch, rng, dtype=np.float32):
+    def __init__(self, in_channels, embed_dim, patch, rng):
         self.patch = patch
         self.conv = Conv2d(in_channels, embed_dim, patch, stride=patch,
-                           rng=rng, dtype=dtype)
+                           rng=rng)
 
     def __call__(self, img):
         _, h, w = img.shape
@@ -33,13 +33,13 @@ class PatchEmbed(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    def __init__(self, dim, heads, rng, dtype=np.float32):
+    def __init__(self, dim, heads, rng):
         if dim % heads:
             raise ConfigError(f"heads ({heads}) must divide dim ({dim})")
         self.heads = heads
         self.head_dim = dim // heads
-        self.qkv = Linear(dim, 3 * dim, rng=rng, dtype=dtype)
-        self.proj = Linear(dim, dim, rng=rng, dtype=dtype)
+        self.qkv = Linear(dim, 3 * dim, rng=rng)
+        self.proj = Linear(dim, dim, rng=rng)
 
     def __call__(self, x):
         n, c = x.shape
@@ -59,9 +59,9 @@ class MultiHeadSelfAttention(Module):
 class Mlp(Module):
     """fc2(gelu(fc1(x))) with hidden width MLP_RATIO * dim."""
 
-    def __init__(self, dim, rng, dtype):
-        self.fc1 = Linear(dim, MLP_RATIO * dim, rng=rng, dtype=dtype)
-        self.fc2 = Linear(MLP_RATIO * dim, dim, rng=rng, dtype=dtype)
+    def __init__(self, dim, rng):
+        self.fc1 = Linear(dim, MLP_RATIO * dim, rng=rng)
+        self.fc2 = Linear(MLP_RATIO * dim, dim, rng=rng)
 
     def __call__(self, x):
         return self.fc2(T.gelu(self.fc1(x)))
@@ -70,11 +70,11 @@ class Mlp(Module):
 class TransformerBlock(Module):
     """Pre-norm ViT block: x + attn(norm1(x)), then + mlp(norm2(.))."""
 
-    def __init__(self, dim, heads, rng, dtype=np.float32):
-        self.norm1 = LayerNorm(dim, dtype=dtype)
-        self.attn = MultiHeadSelfAttention(dim, heads, rng=rng, dtype=dtype)
-        self.norm2 = LayerNorm(dim, dtype=dtype)
-        self.mlp = Mlp(dim, rng=rng, dtype=dtype)
+    def __init__(self, dim, heads, rng):
+        self.norm1 = LayerNorm(dim)
+        self.attn = MultiHeadSelfAttention(dim, heads, rng=rng)
+        self.norm2 = LayerNorm(dim)
+        self.mlp = Mlp(dim, rng=rng)
 
     def __call__(self, x):
         x = T.add(x, self.attn(self.norm1(x)))
@@ -84,15 +84,15 @@ class TransformerBlock(Module):
 class Encoder(Module):
     """Transformer stack over the concatenated 2*h*w token sequence."""
 
-    def __init__(self, dim, depth, heads, n_tokens, rng, dtype=np.float32):
+    def __init__(self, dim, depth, heads, n_tokens, rng):
         self.n_tokens = n_tokens
-        self.pos_embed_rgb = T.Tensor(np.zeros((n_tokens, dim), dtype=dtype),
+        self.pos_embed_rgb = T.Tensor(np.zeros((n_tokens, dim), np.float32),
                                       requires_grad=True)
-        self.pos_embed_depth = T.Tensor(np.zeros((n_tokens, dim), dtype=dtype),
+        self.pos_embed_depth = T.Tensor(np.zeros((n_tokens, dim), np.float32),
                                         requires_grad=True)
-        self.blocks = [TransformerBlock(dim, heads, rng=rng, dtype=dtype)
+        self.blocks = [TransformerBlock(dim, heads, rng=rng)
                        for _ in range(depth)]
-        self.final_norm = LayerNorm(dim, dtype=dtype)
+        self.final_norm = LayerNorm(dim)
 
     def __call__(self, rgb, depth):
         """TokenGrids in, (rgb_tokens, depth_tokens) out, each (h*w, C)."""

@@ -48,15 +48,15 @@ def grid_from_chw(x):
 class FusionBlock(Module):
     """3D-awareness fusion: pooled-query cross-attention over RGB tokens."""
 
-    def __init__(self, channels, rng, attn_dim=None, k=7, dtype=np.float32):
+    def __init__(self, channels, rng, attn_dim=None, k=7):
         self.channels = channels
         self.attn_dim = attn_dim if attn_dim is not None else 2 * channels
         self.k = k
-        self.fc_q = Linear(2 * channels, self.attn_dim, rng=rng, dtype=dtype)
-        self.fc_k = Linear(channels, self.attn_dim, rng=rng, dtype=dtype)
-        self.fc_v = Linear(channels, self.attn_dim, rng=rng, dtype=dtype)
-        self.fc_out_rgb = Linear(self.attn_dim, channels, rng=rng, dtype=dtype)
-        self.fc_out_depth = Linear(self.attn_dim, channels, rng=rng, dtype=dtype)
+        self.fc_q = Linear(2 * channels, self.attn_dim, rng=rng)
+        self.fc_k = Linear(channels, self.attn_dim, rng=rng)
+        self.fc_v = Linear(channels, self.attn_dim, rng=rng)
+        self.fc_out_rgb = Linear(self.attn_dim, channels, rng=rng)
+        self.fc_out_depth = Linear(self.attn_dim, channels, rng=rng)
 
     def _check(self, x_rgb, x_depth):
         if (x_rgb.h, x_rgb.w, x_rgb.channels) != (x_depth.h, x_depth.w, x_depth.channels):

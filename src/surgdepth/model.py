@@ -36,6 +36,12 @@ class ModelConfig:
     batch_size: int = 2
 
     def validate(self):
+        for name, low in (("image_h", 1), ("image_w", 1), ("patch", 1), ("embed_dim", 1),
+                          ("heads", 1), ("fusion_k", 1), ("batch_size", 1), ("epochs", 0),
+                          ("lr", 0), ("weight_decay", 0)):
+            value = getattr(self, name)
+            if not low <= value < np.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and at least {low}, got {value}")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ConfigError("image dims must be divisible by patch size")
         if self.patch % 4:
@@ -49,10 +55,6 @@ class ModelConfig:
         if self.fusion_k > min(self.grid_h, self.grid_w):
             raise ConfigError(
                 f"fusion_k {self.fusion_k} exceeds token grid {self.grid_h}x{self.grid_w}")
-        for name, low in (("batch_size", 1), ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
-            value = getattr(self, name)
-            if not low <= value < np.inf:  # NaN fails too
-                raise ConfigError(f"{name} must be finite and at least {low}, got {value}")
         return self
 
     @property
@@ -81,6 +83,8 @@ class Model(Module):
     gives the same values, bit for bit, as drawing them during the build.
     A load that replaces every parameter before that (``load_state_dict``,
     ``checkpoint.load_model``) drops the records, so those draws never run.
+    A float64 model is the float32 build cast with ``Module.astype``, so
+    it draws its init at build.
     """
 
     def __init__(self, cfg, dtype=np.float32):
@@ -89,15 +93,17 @@ class Model(Module):
         self.dtype = dtype
         self._init = rng = DeferredInit()
         c = cfg.embed_dim
-        self.patch_embed_rgb = PatchEmbed(3, c, cfg.patch, rng=rng, dtype=dtype)
-        self.patch_embed_depth = PatchEmbed(1, c, cfg.patch, rng=rng, dtype=dtype)
+        self.patch_embed_rgb = PatchEmbed(3, c, cfg.patch, rng=rng)
+        self.patch_embed_depth = PatchEmbed(1, c, cfg.patch, rng=rng)
         self.fusion = FusionBlock(c, attn_dim=cfg.fusion_dim, k=cfg.fusion_k,
-                                  rng=rng, dtype=dtype)
+                                  rng=rng)
         self.encoder = Encoder(c, cfg.depth_blocks, cfg.heads,
-                               n_tokens=cfg.grid_h * cfg.grid_w, rng=rng, dtype=dtype)
+                               n_tokens=cfg.grid_h * cfg.grid_w, rng=rng)
         dec_dim = c if cfg.decoder_input == "rgb_only" else 2 * c
         self.decoder = Decoder(dec_dim, cfg.patch, cfg.num_classes,
-                               n_blocks=cfg.decoder_blocks, rng=rng, dtype=dtype)
+                               n_blocks=cfg.decoder_blocks, rng=rng)
+        if dtype != np.float32:
+            self.astype(dtype)
 
     def forward(self, rgb, depth, baseline_rgb_only=False):
         """rgb (3,H,W), depth (1,H,W) -> logits (num_classes, H, W).

@@ -8,6 +8,9 @@ which holds Modules, walked item by item under
 ``prefix + attr + "." + index + "."``. Other attributes are skipped. So the order in which ``__init__``
 assigns parameters and child layers is the state-dict order, the
 optimizer's order and the checkpoint layout.
+
+Layers hold float32 parameters. ``Module.astype(np.float64)`` casts
+them in place, which is how gradient checks get a float64 model.
 """
 
 import math
@@ -31,6 +34,12 @@ class Module:
                 for i, module in enumerate(value):
                     yield from module.named_parameters(f"{prefix}{attr}.{i}.")
 
+    def astype(self, dtype):
+        """Cast every parameter's data to ``dtype`` in place; returns self."""
+        for _, p in self.named_parameters():
+            p.data = p.data.astype(dtype)
+        return self
+
 
 def attention(q, k, v):
     """softmax(q @ k^T / sqrt(d)) @ v over the last two axes, d = q.shape[-1]."""
@@ -43,19 +52,18 @@ def attention(q, k, v):
 class Linear(Module):
     """y = x @ w + b with w of shape (in_features, out_features)."""
 
-    def __init__(self, in_features, out_features, rng, dtype=np.float32):
-        self.w = T.Tensor(trunc_normal(rng, (in_features, out_features), dtype=dtype),
-                          requires_grad=True)
-        self.b = T.Tensor(np.zeros(out_features, dtype=dtype), requires_grad=True)
+    def __init__(self, in_features, out_features, rng):
+        self.w = T.Tensor(trunc_normal(rng, (in_features, out_features)), requires_grad=True)
+        self.b = T.Tensor(np.zeros(out_features, np.float32), requires_grad=True)
 
     def __call__(self, x):
         return T.add(T.matmul(x, self.w), self.b)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim, dtype=np.float32):
-        self.gamma = T.Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = T.Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+    def __init__(self, dim):
+        self.gamma = T.Tensor(np.ones(dim, np.float32), requires_grad=True)
+        self.beta = T.Tensor(np.zeros(dim, np.float32), requires_grad=True)
 
     def __call__(self, x):
         return T.layer_norm(x, self.gamma, self.beta)
@@ -63,15 +71,15 @@ class LayerNorm(Module):
 
 class Conv2d(Module):
     def __init__(self, in_channels, out_channels, kernel_size, rng, stride=1,
-                 padding=0, groups=1, dtype=np.float32):
+                 padding=0, groups=1):
         if in_channels % groups or out_channels % groups:
             raise ConfigError("channels must be divisible by groups")
         self.stride = stride
         self.padding = padding
         self.groups = groups
         shape = (out_channels, in_channels // groups, kernel_size, kernel_size)
-        self.w = T.Tensor(trunc_normal(rng, shape, dtype=dtype), requires_grad=True)
-        self.b = T.Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        self.w = T.Tensor(trunc_normal(rng, shape), requires_grad=True)
+        self.b = T.Tensor(np.zeros(out_channels, np.float32), requires_grad=True)
 
     def __call__(self, x):
         return T.conv2d(x, self.w, self.b, stride=self.stride,

@@ -8,14 +8,14 @@ import numpy as np
 
 from .errors import ShapeError
 
+BETA1, BETA2 = 0.9, 0.999   # moment decay rates
+EPS = 1e-8                  # added to the second-moment root
+
 
 class AdamW:
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.05):
+    def __init__(self, params, lr=1e-3, weight_decay=0.05):
         self.params = list(params)  # (name, Tensor) pairs
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {name: np.zeros(p.shape, dtype=np.float64) for name, p in self.params}
@@ -28,9 +28,9 @@ class AdamW:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        lr, b1, b2 = self.lr, self.beta1, self.beta2
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        lr, b1, b2 = self.lr, BETA1, BETA2
         for name, p in self.params:
             g = p.grad
             if g is None:
@@ -47,7 +47,7 @@ class AdamW:
             v *= b2
             v += ((1 - b2) * g) * g
             den = np.sqrt(v / bc2)
-            den += self.eps
+            den += EPS
             upd = m / bc1
             upd *= lr
             upd /= den

@@ -139,7 +139,7 @@ def mhsa_oracle(x, wq, wk, wv, bq, bk, bv, w_proj, b_proj):
 
 
 def adamw_oracle_sequence(x0, grads, lr, weight_decay=0.0):
-    """Scalar AdamW trajectory in 64-bit at AdamW's default betas and eps;
+    """Scalar AdamW trajectory in 64-bit at AdamW's BETA1, BETA2 and EPS;
     returns list of params after each step."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     x, m, v = float(x0), 0.0, 0.0

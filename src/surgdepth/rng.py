@@ -26,10 +26,7 @@ class DeferredInit:
 
     def replay(self, rng):
         for out, std in self.draws:
-            if out.dtype == np.float32:
-                _fill_trunc_normal(rng, out, std)
-            else:
-                out[...] = _fill_trunc_normal(rng, np.empty(out.shape, np.float32), std)
+            _fill_trunc_normal(rng, out, std)
         self.draws = []
 
     def discard(self):
@@ -48,17 +45,16 @@ def _fill_trunc_normal(rng, out, std):
         draw = rng.standard_normal(size=idx.size, dtype=np.float32) * np.float32(std)
         flat[idx] = draw
         idx = idx[np.abs(draw) > limit]
-    return out
 
 
-def trunc_normal(rng, shape, std=0.02, dtype=np.float32):
-    """Normal(0, std) truncated to +-TRUNC_BOUND*std, by resampling.
+def trunc_normal(rng, shape, std=0.02):
+    """Float32 Normal(0, std) truncated to +-TRUNC_BOUND*std, by resampling.
 
     With a DeferredInit as ``rng`` the array comes back unfilled and the
     draw is recorded for ``DeferredInit.replay``; with a Generator the
     draw is recorded and replayed at once.
     """
-    out = np.empty(shape, dtype=dtype)
+    out = np.empty(shape, np.float32)
     init = rng if isinstance(rng, DeferredInit) else DeferredInit()
     init.draws.append((out, std))
     if init is not rng:

@@ -299,14 +299,12 @@ def gelu(x):
     return Tensor._from_op(out, (x,), vjp)
 
 
-def sum_(x, axis=None, keepdims=False):
+def sum_(x):
+    """Sum of every element, accumulated in float64."""
     x = as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
+    out = x.data.sum(dtype=np.float64)
 
     def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.shape).astype(x.dtype),)
 
     return Tensor._from_op(np.asarray(out, dtype=x.dtype), (x,), vjp)

@@ -10,7 +10,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import save_checkpoint as save_model  # the name perfbench traces
 from .data import augment
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .losses import cross_entropy_loss
 from .metrics import ConfusionAccumulator
 from .model import build_model, param_count
@@ -63,7 +63,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     step's graph at a time.
     """
     if not train_samples:
-        raise ValueError("empty training set")
+        raise DataError("empty training set")
     rng = make_rng(cfg.seed)
     opt = AdamW(list(model.named_parameters()), lr=cfg.lr,
                 weight_decay=cfg.weight_decay)

@@ -87,7 +87,7 @@ def check_bilinear_oracle(rng, i):
 
 @_oracle_check(seed=5)
 def check_mhsa_oracle(rng, i):
-    attn = MultiHeadSelfAttention(8, 1, rng=rng, dtype=np.float64)
+    attn = MultiHeadSelfAttention(8, 1, rng=rng).astype(np.float64)
     x = rng.normal(size=(5, 8))
     got = attn(T.Tensor(x)).data
     w = attn.qkv.w.data
@@ -98,7 +98,7 @@ def check_mhsa_oracle(rng, i):
 
 @_oracle_check(seed=6)
 def check_fuse_oracle(rng, i):
-    block = FusionBlock(8, attn_dim=8, k=2, rng=rng, dtype=np.float64)
+    block = FusionBlock(8, attn_dim=8, k=2, rng=rng).astype(np.float64)
     xr = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8))))
     xd = TokenGrid(4, 4, T.Tensor(rng.normal(size=(16, 8))))
     out_rgb, out_depth = block(xr, xd)

@@ -90,7 +90,7 @@ def test_grad_check_detects_nondeterminism():
 
 def test_fusion_block_composite_gradients():
     rng = make_rng(4)
-    block = FusionBlock(8, attn_dim=8, k=2, rng=rng, dtype=np.float64)
+    block = FusionBlock(8, attn_dim=8, k=2, rng=rng).astype(np.float64)
     xr = T.Tensor(rng.normal(size=(16, 8)), requires_grad=True)
     xd = T.Tensor(rng.normal(size=(16, 8)), requires_grad=True)
 

@@ -53,9 +53,12 @@ class TestUsage:
     @pytest.mark.parametrize("flags, config", [
         (["--batch-size", "0"], ""), (["--batch-size", "-2"], ""),
         (["--lr", "nan"], ""), (["--weight-decay", "-0.1"], ""),
-        ([], "epochs=-1\n"), ([], "lr=inf\n")],
+        ([], "epochs=-1\n"), ([], "lr=inf\n"),
+        (["--patch", "0"], ""), (["--heads", "0"], ""), (["--heads", "-2"], ""),
+        (["--embed-dim", "0"], ""), (["--fusion-k", "0"], "")],
         ids=["batch-size-0", "batch-size-negative", "lr-nan", "weight-decay-negative",
-             "file-epochs-negative", "file-lr-inf"])
+             "file-epochs-negative", "file-lr-inf", "patch-0", "heads-0", "heads-negative",
+             "embed-dim-0", "fusion-k-0"])
     def test_untrainable_hyperparameter_is_mismatch(self, tmp_path, dataset, capsys,
                                                     flags, config):
         cfg = tmp_path / "cfg.txt"
@@ -130,6 +133,19 @@ class TestGenData:
         assert (out / "manifest.txt").exists()
         captured = capsys.readouterr().out
         assert "rgb-ambiguous pixel fraction" in captured
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--size", "0"], "image size 0x0 has a side below 1"),
+        (["--size", "-4"], "image size -4x-4 has a side below 1"),
+        (["--classes", "300"], "at most 255 classes")],
+        ids=["size-0", "size-negative", "classes-over-8-bit"])
+    def test_bad_scene_is_data_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "d"
+        code = main(["gen-data", "--n", "2", "--size", "16", *flags, "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -244,6 +260,15 @@ class TestTrainEval:
         code = main(["eval", *TOY_FLAGS, "--data", str(data)])
         assert code == EXIT_DATA
         assert "000001_label.pgm: no such file" in capsys.readouterr().err
+
+    def test_empty_training_split_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "2", "--size", "16", "--val-fraction", "1.0",
+              "--out", str(data)])
+        code = main(["train", *TOY_FLAGS, "--data", str(data), "--out", str(tmp_path / "run")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "empty training set" in err and "Traceback" not in err
 
     def test_missing_checkpoint_exits_65(self, tmp_path, dataset, capsys):
         missing = tmp_path / "none.ckpt"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from surgdepth.data import (AMBIGUOUS_COLOR, BLUR_SIGMA, FAR_DEPTH, NEAR_DEPTH,
                             RgbdSample, SceneSpec, _read_pnm, _write_pnm, augment,
@@ -187,6 +189,27 @@ class TestNetpbm:
         path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
         with pytest.raises(FormatError):
             _read_pnm(str(path), "P5")
+
+    @settings(max_examples=200, deadline=None)
+    @given(magic=st.sampled_from([b"P5", b"P6", b"P4", b""]),
+           fields=st.lists(st.one_of(st.integers(-3, 70000).map(lambda v: b"%d" % v),
+                                     st.binary(max_size=4)), max_size=4),
+           sep=st.sampled_from([b"\n", b" ", b"\t", b"\n# c\n", b""]),
+           raster=st.binary(max_size=64))
+    @example(magic=b"P5", fields=[b"-1", b"-1", b"255"], sep=b"\n", raster=b"\x00")
+    @example(magic=b"P5", fields=[b"0", b"8", b"255"], sep=b"\n", raster=b"")
+    def test_fuzzed_header_raises_only_format_errors(self, tmp_path_factory, magic,
+                                                     fields, sep, raster):
+        """Any header loads a non-empty raster or raises FormatError/DataError:
+        a side below 1 is rejected, neither reshaped (-1x-1) nor loaded empty."""
+        path = tmp_path_factory.getbasetemp() / "fuzzed.pnm"
+        path.write_bytes(sep.join([magic, *fields]) + sep + raster)
+        for expect in ("P5", "P6"):
+            try:
+                arr, _ = _read_pnm(str(path), expect)
+            except (FormatError, DataError):
+                continue
+            assert arr.size > 0
 
     def test_sample_round_trip_within_quantization(self, tmp_path):
         s = generate_sample(SceneSpec(), 0, 16, 16)

@@ -180,16 +180,25 @@ def test_float64_model_runs_every_op_in_float64(monkeypatch):
     assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_deferred_trunc_normal_replays_eager_draws(dtype):
+def test_float64_model_is_the_float32_init_cast():
+    cfg = _toy_cfg()
+    ref = build_model(cfg).state_dict()
+    got = build_model(cfg, dtype=np.float64).state_dict()
+    assert list(got) == list(ref)
+    for name, arr in ref.items():
+        assert got[name].dtype == np.float64
+        np.testing.assert_array_equal(got[name], arr.astype(np.float64))
+
+
+def test_deferred_trunc_normal_replays_eager_draws():
     shapes = [(3, 4), (5,), (2, 3, 7, 7)]
     rng = make_rng(7)
-    eager = [trunc_normal(rng, s, std=0.5, dtype=dtype) for s in shapes]
+    eager = [trunc_normal(rng, s, std=0.5) for s in shapes]
     init = DeferredInit()
-    deferred = [trunc_normal(init, s, std=0.5, dtype=dtype) for s in shapes]
+    deferred = [trunc_normal(init, s, std=0.5) for s in shapes]
     init.replay(make_rng(7))
     for a, b in zip(eager, deferred):
-        assert b.dtype == dtype
+        assert b.dtype == np.float32
         np.testing.assert_array_equal(a, b)
 
 

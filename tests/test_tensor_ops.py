@@ -433,7 +433,7 @@ def test_adamw_in_place_steps_bit_identical_to_formula():
     rng = make_rng(14)
     lr, (b1, b2), eps, wd = 1e-2, (0.9, 0.999), 1e-8, 0.05
     p = T.Tensor(rng.normal(size=(6, 5)).astype(np.float32), requires_grad=True)
-    opt = AdamW([("p", p)], lr=lr, betas=(b1, b2), eps=eps, weight_decay=wd)
+    opt = AdamW([("p", p)], lr=lr, weight_decay=wd)
     x, m, v = p.data.copy(), np.zeros((6, 5)), np.zeros((6, 5))
     for t in range(1, 6):
         g = rng.normal(size=(6, 5)).astype(np.float32)
