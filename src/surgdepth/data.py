@@ -125,7 +125,9 @@ def rgb_ambiguous_fraction(samples):
 
 
 def split_dataset(samples, val_fraction=0.25, seed=0):
-    """Deterministic disjoint train/val index split."""
+    """Deterministic disjoint train/val index split; ``val_fraction`` in [0, 1]."""
+    if not 0 <= val_fraction <= 1:   # NaN fails too
+        raise DataError(f"val fraction must be in [0, 1], got {val_fraction}")
     n = len(samples)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA11))))
     order = rng.permutation(n)
@@ -342,8 +344,8 @@ def read_sample(directory, index):
 
 
 def write_dataset(directory, samples, num_classes, val_fraction=0.25, seed=0):
-    os.makedirs(directory, exist_ok=True)
     _, val = split_dataset(list(range(len(samples))), val_fraction, seed)
+    os.makedirs(directory, exist_ok=True)
     val_set = set(val)
     lines = []
     for i, s in enumerate(samples):

@@ -37,7 +37,8 @@ class ModelConfig:
 
     def validate(self):
         for name, low in (("image_h", 1), ("image_w", 1), ("patch", 1), ("embed_dim", 1),
-                          ("heads", 1), ("fusion_k", 1), ("batch_size", 1), ("epochs", 0),
+                          ("depth_blocks", 0), ("heads", 1), ("fusion_k", 1),
+                          ("decoder_blocks", 0), ("batch_size", 1), ("epochs", 0),
                           ("lr", 0), ("weight_decay", 0)):
             value = getattr(self, name)
             if not low <= value < np.inf:  # NaN fails too

@@ -56,12 +56,22 @@ same way however many rows surround it. gelu runs its whole formula one
 commute bit for bit, so ``t *= 0.044715`` gives ``0.044715 * t``.
 layer_norm repeats ``np.var``'s own steps on one float64 copy of its
 input, takes their mean as ``mu`` and reuses that copy for
-``(x - mu) * inv``. ``_im2col`` is one strided copy of a sliding-window
-view. The depthwise 7x7's full-size
-``cols`` buffer (180 MB at 240x320) is kept on purpose: building it a few
-channels at a time gives the same bits and a faster call, but the forward
-then frees no such block, so a model loaded after it faults in fresh
-pages instead of reusing that freed heap, and the load took 40-78% longer.
+``(x - mu) * inv``.
+
+``_im2col`` pads into one zeroed buffer, takes every window through one
+``as_strided`` view and makes one float64 copy of it. conv2d's VJP keeps
+the float32 input and weight, not the float64 patch matrix, and rebuilds
+the patches with ``_im2col`` when it runs: the same values, so the same
+GEMMs give the same bits, and a taped depthwise 7x7 no longer holds
+180 MB of patches at 240x320 until backward. With one output channel per
+group (depthwise), ``dcols`` is the broadcast product of weights and
+gradient, each term the one product a matmul with inner dimension 1
+forms; ``_col2im`` sums them from +0.0, so the sign of a zero cannot
+show. The forward's full-size depthwise ``cols`` buffer is kept on
+purpose: building it a few channels at a time gives the same bits and a
+faster call, but the forward then frees no such block, so a model loaded
+after it faults in fresh pages instead of reusing that freed heap, and
+the load took 40-78% longer.
 """
 
 import contextlib
@@ -470,13 +480,17 @@ def layer_norm(x, gamma, beta):
 
 def _im2col(x, kh, kw, stride, padding):
     """(C,H,W) -> (C, kh*kw, Ho*Wo) patch matrix, float64, in one strided copy."""
-    c = x.shape[0]
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                  # (C, Ho, Wo, kh, kw)
-    ho, wo = win.shape[1:3]
-    cols = win.transpose(0, 3, 4, 1, 2).astype(np.float64, order="C")
-    return cols.reshape(c, kh * kw, ho * wo), ho, wo
+    c, h, w = x.shape
+    if padding:
+        xp = np.zeros((c, h + 2 * padding, w + 2 * padding), x.dtype)
+        xp[:, padding:padding + h, padding:padding + w] = x
+    else:
+        xp = x
+    ho, wo = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(            # (C, kh, kw, Ho, Wo)
+        xp, (c, kh, kw, ho, wo), (sc, sh, sw, sh * stride, sw * stride), writeable=False)
+    return win.astype(np.float64, order="C").reshape(c, kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols, c, h, w, kh, kw, stride, padding, ho, wo):
@@ -507,21 +521,32 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
         raise ShapeError(f"weight expects {c_in_g * groups} input channels, got {c_in}")
     if (h + 2 * padding - kh) % stride or (w + 2 * padding - kw) % stride:
         raise ShapeError("conv2d output size is not integral for this stride/padding")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-    # (groups, c_in_g*kh*kw, L) and (groups, c_out_g, c_in_g*kh*kw)
-    cols_g = cols.reshape(groups, c_in_g * kh * kw, ho * wo)
-    w_g = weight.data.reshape(groups, c_out // groups, c_in_g * kh * kw).astype(np.float64)
+    c_out_g, k = c_out // groups, c_in_g * kh * kw
+
+    def grouped():
+        """Patches as (groups, k, L) and weights as (groups, c_out_g, k), float64."""
+        cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
+        w_g = weight.data.reshape(groups, c_out_g, k).astype(np.float64)
+        return cols.reshape(groups, k, ho * wo), w_g, ho, wo
+
+    cols_g, w_g, ho, wo = grouped()
     out = np.matmul(w_g, cols_g).reshape(c_out, ho, wo)
     if bias is not None:
         out = out + bias.data[:, None, None]
     parents = (x, weight) if bias is None else (x, weight, bias)
 
     def vjp(g):
-        g_g = g.reshape(groups, c_out // groups, ho * wo).astype(np.float64)
+        cols_g, w_g, _, _ = grouped()
+        g_g = g.reshape(groups, c_out_g, ho * wo).astype(np.float64)
         dw = np.matmul(g_g, np.swapaxes(cols_g, 1, 2)).reshape(weight.shape).astype(weight.dtype)
+        del cols_g   # freed before dcols is built
         dx = None   # an input that needs no grad (a raw image) skips dcols and _col2im
         if x.requires_grad:
-            dcols = np.matmul(np.swapaxes(w_g, 1, 2), g_g).reshape(c_in, kh * kw, ho * wo)
+            if c_out_g == 1:   # a matmul with inner dimension 1: each term is one product
+                dcols = np.swapaxes(w_g, 1, 2) * g_g
+            else:
+                dcols = np.matmul(np.swapaxes(w_g, 1, 2), g_g)
+            dcols = dcols.reshape(c_in, kh * kw, ho * wo)
             dx = _col2im(dcols, c_in, h, w, kh, kw, stride, padding, ho, wo).astype(x.dtype)
         if bias is None:
             return dx, dw

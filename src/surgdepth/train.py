@@ -1,6 +1,5 @@
 """Training / evaluation loops and the ablation harness."""
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -10,7 +9,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import save_checkpoint as save_model  # the name perfbench traces
 from .data import augment
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, UsageError
 from .losses import cross_entropy_loss
 from .metrics import ConfusionAccumulator
 from .model import build_model, param_count
@@ -43,8 +42,12 @@ def evaluate(model, samples, baseline_rgb_only=False):
     return acc.report()
 
 
-def _at_step(step, lr, opt):
-    """Where a numeric abort happened, for its message."""
+def _at_step(step, done, lr, opt):
+    """Where a numeric abort happened, for its message; ``done`` samples of
+    the step had been backpropagated."""
+    if done:   # grads hold this step's partial sum
+        return (f"at step {step} (lr={lr}, grad_norm of this step's first "
+                f"{done} samples={opt.grad_norm():.3e})")
     # grads still hold the previous step's; none before step 1
     norm = f"{opt.grad_norm():.3e}" if step else "n/a"
     return f"at step {step} (lr={lr}, previous step's grad_norm={norm})"
@@ -58,10 +61,15 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     Best checkpoint (by validation mIoU) is written to ckpt_path when
     given; metrics stream to metrics_path as line-delimited JSON.
     ``max_steps`` caps the optimizer steps; at 0 nothing is trained or
-    evaluated. Each step's autodiff graph (logits, losses, saved
-    activations) is released when the step ends, so memory holds one
-    step's graph at a time.
+    evaluated. Each sample's loss is backpropagated as soon as it is
+    known, scaled by 1/batch, and its autodiff graph (logits, loss, saved
+    activations) is released before the next sample's forward, so memory
+    holds one sample's graph at a time. Every parameter has one consumer
+    per forward and the gradients accumulate in batch order, so the
+    weights are bit-identical to one backward of the batch-mean loss.
     """
+    if max_steps is not None and max_steps < 0:
+        raise UsageError(f"max_steps must be at least 0, got {max_steps}")
     if not train_samples:
         raise DataError("empty training set")
     rng = make_rng(cfg.seed)
@@ -73,25 +81,30 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     best_state = None
 
     def train_step(batch):
-        """Forward, backward and update on one batch; the loss as a float.
-        The step's graph is bound only in this frame, so it is freed on
-        return, before the next step's forwards run."""
-        losses = []
-        for i in batch:
+        """Forward and backward each sample of one batch in turn, then
+        update; the batch-mean loss as a float. A sample's graph is bound
+        only to ``loss``, which is dropped before the next forward."""
+        scale = np.float32(1 / len(batch))
+        total = None   # float32 left fold of the sample losses
+        for done, i in enumerate(batch):
             s = train_samples[i]
             if use_augment:
                 s = augment(s, rng)
             try:
-                logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
-                losses.append(cross_entropy_loss(logits, s.label))
+                loss = cross_entropy_loss(
+                    model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only), s.label)
             except NumericError as e:
-                raise NumericError(f"{e} {_at_step(step, cfg.lr, opt)}") from e
-        loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
-        loss_val = loss.item()
+                raise NumericError(f"{e} {_at_step(step, done, cfg.lr, opt)}") from e
+            if not np.isfinite(loss.data):
+                raise NumericError(f"NaN/Inf loss {_at_step(step, done, cfg.lr, opt)}")
+            total = loss.data if total is None else total + loss.data
+            if not done:
+                opt.zero_grad()
+            T.backward(T.mul(loss, scale))
+            del loss
+        loss_val = float(total * scale)
         if not np.isfinite(loss_val):
-            raise NumericError(f"NaN/Inf loss {_at_step(step, cfg.lr, opt)}")
-        opt.zero_grad()
-        T.backward(loss)
+            raise NumericError(f"NaN/Inf loss {_at_step(step, len(batch), cfg.lr, opt)}")
         opt.step()
         return loss_val
 

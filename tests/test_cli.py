@@ -55,10 +55,12 @@ class TestUsage:
         (["--lr", "nan"], ""), (["--weight-decay", "-0.1"], ""),
         ([], "epochs=-1\n"), ([], "lr=inf\n"),
         (["--patch", "0"], ""), (["--heads", "0"], ""), (["--heads", "-2"], ""),
-        (["--embed-dim", "0"], ""), (["--fusion-k", "0"], "")],
+        (["--embed-dim", "0"], ""), (["--fusion-k", "0"], ""),
+        (["--encoder-blocks", "-3"], ""), (["--decoder-blocks", "-1"], "")],
         ids=["batch-size-0", "batch-size-negative", "lr-nan", "weight-decay-negative",
              "file-epochs-negative", "file-lr-inf", "patch-0", "heads-0", "heads-negative",
-             "embed-dim-0", "fusion-k-0"])
+             "embed-dim-0", "fusion-k-0", "encoder-blocks-negative",
+             "decoder-blocks-negative"])
     def test_untrainable_hyperparameter_is_mismatch(self, tmp_path, dataset, capsys,
                                                     flags, config):
         cfg = tmp_path / "cfg.txt"
@@ -137,8 +139,12 @@ class TestGenData:
     @pytest.mark.parametrize("flags, message", [
         (["--size", "0"], "image size 0x0 has a side below 1"),
         (["--size", "-4"], "image size -4x-4 has a side below 1"),
-        (["--classes", "300"], "at most 255 classes")],
-        ids=["size-0", "size-negative", "classes-over-8-bit"])
+        (["--classes", "300"], "at most 255 classes"),
+        (["--val-fraction", "nan"], "val fraction must be in [0, 1], got nan"),
+        (["--val-fraction", "-1"], "val fraction must be in [0, 1], got -1.0"),
+        (["--val-fraction", "2"], "val fraction must be in [0, 1], got 2.0")],
+        ids=["size-0", "size-negative", "classes-over-8-bit", "val-fraction-nan",
+             "val-fraction-negative", "val-fraction-over-1"])
     def test_bad_scene_is_data_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "d"
         code = main(["gen-data", "--n", "2", "--size", "16", *flags, "--out", str(out)])
@@ -269,6 +275,14 @@ class TestTrainEval:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "empty training set" in err and "Traceback" not in err
+
+    def test_negative_max_steps_is_usage_error(self, tmp_path, dataset, capsys):
+        code = main(["train", *TOY_FLAGS, "--max-steps", "-5", "--data", dataset,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "max_steps must be at least 0, got -5" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "best.ckpt").exists()
 
     def test_missing_checkpoint_exits_65(self, tmp_path, dataset, capsys):
         missing = tmp_path / "none.ckpt"

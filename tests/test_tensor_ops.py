@@ -264,15 +264,68 @@ class TestConv2d:
         kh, kw = 7, 5
         h, w = kh - 2 * padding + 3 * stride, kw - 2 * padding + 4 * stride
         x = make_rng(7).normal(size=(3, h, w)).astype(np.float32)
-        cols, ho, wo = T._im2col(x, kh, kw, stride, padding)
         xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-        assert (ho, wo) == (4, 5)
+        ho, wo = 4, 5
         ref = np.empty((3, kh * kw, ho * wo), np.float64)
         for i in range(kh):
             for j in range(kw):
                 patch = xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride]
                 ref[:, i * kw + j, :] = patch.reshape(3, -1)
-        np.testing.assert_array_equal(cols, ref)
+        wide = np.zeros((3, h, 2 * w), np.float32)
+        wide[:, :, ::2] = x
+        for view in (x, wide[:, :, ::2]):   # contiguous, then every other column
+            cols, *size = T._im2col(view, kh, kw, stride, padding)
+            assert size == [ho, wo]
+            np.testing.assert_array_equal(cols, ref)
+
+    # (x shape, weight shape, stride, padding, groups)
+    CASES = {"depthwise-7x7": ((8, 16, 16), (8, 1, 7, 7), 1, 3, 8),
+             "dense-1x1": ((8, 6, 5), (12, 8, 1, 1), 1, 0, 1),
+             "patch-stride-8": ((3, 16, 24), (16, 3, 8, 8), 8, 0, 1),
+             "grouped": ((6, 7, 7), (4, 3, 3, 3), 2, 1, 2)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", CASES)
+    def test_vjp_bit_identical_to_taped_patch_formula(self, case, dtype):
+        """The VJP rebuilds its patches; its grads keep the bits of the
+        matmul ``dcols`` plus ``_col2im`` on the forward's patch matrix."""
+        (c_in, h, w), wshape, stride, padding, groups = self.CASES[case]
+        rng = make_rng(9)
+        x, wt, b = (rng.normal(size=s).astype(dtype) for s in ((c_in, h, w), wshape, wshape[0]))
+        out = T.conv2d(T.Tensor(x, requires_grad=True), T.Tensor(wt, requires_grad=True),
+                       T.Tensor(b, requires_grad=True), stride=stride, padding=padding,
+                       groups=groups)
+        g = rng.normal(size=out.shape).astype(dtype)
+        dx, dw, db = out._vjp(g)
+        c_out, c_in_g, kh, kw = wshape
+        cols, ho, wo = T._im2col(x, kh, kw, stride, padding)
+        cols_g = cols.reshape(groups, c_in_g * kh * kw, ho * wo)
+        w_g = wt.reshape(groups, c_out // groups, -1).astype(np.float64)
+        g_g = g.reshape(groups, c_out // groups, ho * wo).astype(np.float64)
+        ref_dw = np.matmul(g_g, np.swapaxes(cols_g, 1, 2)).reshape(wshape).astype(dtype)
+        dcols = np.matmul(np.swapaxes(w_g, 1, 2), g_g).reshape(c_in, kh * kw, ho * wo)
+        ref_dx = T._col2im(dcols, c_in, h, w, kh, kw, stride, padding, ho, wo).astype(dtype)
+        ref_db = g.sum(axis=(1, 2), dtype=np.float64).astype(dtype)
+        for got, ref in ((dx, ref_dx), (dw, ref_dw), (db, ref_db)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_vjp_keeps_no_float64_array(self, case):
+        """A float32 conv's VJP holds its inputs, not a float64 patch matrix."""
+        (c_in, h, w), wshape, stride, padding, groups = self.CASES[case]
+        out = T.conv2d(T.Tensor(np.ones((c_in, h, w), np.float32), requires_grad=True),
+                       T.Tensor(np.ones(wshape, np.float32), requires_grad=True),
+                       stride=stride, padding=padding, groups=groups)
+        held, todo = [], [out._vjp]
+        while todo:
+            f = todo.pop()
+            for cell in f.__closure__ or ():
+                v = cell.cell_contents
+                if callable(v) and hasattr(v, "__closure__"):
+                    todo.append(v)
+                held.append(v.data if isinstance(v, T.Tensor) else v)
+        arrays = {id(a): a for a in held if isinstance(a, np.ndarray)}.values()
+        assert len(arrays) == 2 and all(a.dtype == np.float32 for a in arrays)
 
     def test_weight_grads_unchanged_when_input_needs_none(self):
         rng = make_rng(8)

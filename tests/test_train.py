@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import weakref
@@ -8,11 +9,12 @@ import pytest
 from surgdepth import tensor as T
 from surgdepth import train as train_mod
 from surgdepth.checkpoint import load_checkpoint
-from surgdepth.data import SceneSpec, generate_dataset
-from surgdepth.errors import NumericError
+from surgdepth.data import SceneSpec, augment, generate_dataset
+from surgdepth.errors import NumericError, UsageError
 from surgdepth.losses import cross_entropy_loss
 from surgdepth.model import Model, ModelConfig, build_model, param_count
 from surgdepth.optim import AdamW
+from surgdepth.rng import make_rng
 from surgdepth.train import (DECODER_DEPTH_REFERENCE, ablate_decoder_depth,
                              ablate_decoder_input, evaluate, train)
 
@@ -71,7 +73,8 @@ def _loss_overflowing_from(step, batch_size):
     return loss_fn
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered in matmul")
 def test_nan_loss_raises_numeric_error(monkeypatch):
     cfg = _toy_cfg(lr=1e12, weight_decay=0.0)
     model = build_model(cfg)
@@ -106,19 +109,78 @@ def test_nan_loss_at_step_zero_reports_no_grad_norm(monkeypatch):
               use_augment=False)
 
 
+def test_loss_overflow_at_a_later_sample_reports_the_partial_grad_norm(monkeypatch):
+    """The loss overflows at the second sample of step 1: the first sample
+    has been backpropagated, so the grads hold that sample's share."""
+    cfg = _toy_cfg()
+    calls = []
+
+    def loss_fn(logits, labels):
+        calls.append(None)
+        loss = cross_entropy_loss(logits, labels)
+        return T.mul(loss, np.inf) if len(calls) == cfg.batch_size + 2 else loss
+
+    monkeypatch.setattr(train_mod, "cross_entropy_loss", loss_fn)
+    model = build_model(cfg)
+    with pytest.raises(NumericError, match=r"NaN/Inf loss at step 1 \(lr=0.001, "
+                       r"grad_norm of this step's first 1 samples=") as info:
+        train(model, _samples(), None, cfg, max_steps=50, use_augment=False)
+    norm = re.search(r"samples=(\S+)\)", str(info.value)).group(1)
+    expected = sum(float((p.grad.astype(np.float64) ** 2).sum())
+                   for p in model.parameters()) ** 0.5
+    assert expected > 0 and norm == f"{expected:.3e}"
+    # the held grads are the first sample's, scaled by 1/batch
+    samples = _samples()
+    batch = make_rng(cfg.seed).permutation(len(samples))[cfg.batch_size:]
+    ref = build_model(cfg)
+    ref.load_state_dict(model.state_dict())
+    s = samples[batch[0]]
+    T.backward(T.mul(cross_entropy_loss(ref(s.rgb, s.depth), s.label),
+                     np.float32(1 / cfg.batch_size)))
+    for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+
+
+@pytest.mark.parametrize("use_augment", [False, True], ids=["plain", "augment"])
+@pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+def test_step_equals_one_backward_of_the_batch_loss(batch_size, use_augment):
+    """One step's grads and logged loss are bit-identical to one backward
+    of the mean loss, folded with T.add over the batch in order."""
+    cfg = _toy_cfg(batch_size=batch_size, epochs=1)
+    samples = _samples()
+    model = build_model(cfg)
+    result = train(model, samples, None, cfg, max_steps=1, use_augment=use_augment)
+    ref = build_model(cfg)
+    rng = make_rng(cfg.seed)
+    losses = []
+    for i in rng.permutation(len(samples))[:batch_size]:
+        s = augment(samples[i], rng) if use_augment else samples[i]
+        losses.append(cross_entropy_loss(ref(s.rgb, s.depth), s.label))
+    loss = T.mul(functools.reduce(T.add, losses), 1.0 / len(losses))
+    T.backward(loss)
+    assert result.loss_history == [(1, loss.item())]
+    for (name, p), (_, q) in zip(model.named_parameters(), ref.named_parameters()):
+        assert p.grad.tobytes() == q.grad.tobytes(), name
+
+
 def test_step_graph_freed_when_the_step_ends(monkeypatch):
-    """At every forward, no logits of an earlier step is alive. The tape
-    has no reference cycles, so this holds with no gc.collect(). Tensor
-    takes no weakref (it has __slots__), so each logits' data array is
-    watched: only the logits Tensor and the graph on it hold that array."""
-    steps, seen = [0], []   # optimizer steps done; (step, weakref) per forward
+    """At every forward, no earlier forward's logits is alive, within a
+    step or across steps: each sample's graph is freed before the next
+    forward. Only evaluate()'s untaped logits may outlive the next
+    untaped forward. The tape has no reference cycles, so this holds with
+    no gc.collect(). Tensor takes no weakref (it has __slots__), so each
+    logits' data array is watched: only the logits Tensor and the graph
+    on it hold that array."""
+    steps, seen = [0], []   # optimizer steps done; (taped, weakref) per forward
     forward, opt_step = Model.__call__, AdamW.step
 
     def call(self, *args, **kwargs):
-        alive = [step for step, ref in seen if step < steps[0] and ref() is not None]
-        assert not alive, f"logits of steps {alive} alive at step {steps[0]}"
+        taped = T._grad_enabled
+        alive = [n for n, (was_taped, ref) in enumerate(seen)
+                 if (taped or was_taped) and ref() is not None]
+        assert not alive, f"logits of forwards {alive} alive at forward {len(seen)}"
         out = forward(self, *args, **kwargs)
-        seen.append((steps[0], weakref.ref(out.data)))
+        seen.append((taped, weakref.ref(out.data)))
         return out
 
     def step(self):
@@ -129,7 +191,14 @@ def test_step_graph_freed_when_the_step_ends(monkeypatch):
     monkeypatch.setattr(AdamW, "step", step)
     cfg = _toy_cfg()
     train(build_model(cfg), _samples(), None, cfg, max_steps=4)
-    assert steps[0] == 4 and len(seen) > 8   # 2 per step, then evaluation
+    assert steps[0] == 4 and sum(taped for taped, _ in seen) == 8   # 2 per step
+    assert len(seen) > 8   # then evaluation
+
+
+def test_negative_max_steps_rejected():
+    cfg = _toy_cfg()
+    with pytest.raises(UsageError, match="max_steps must be at least 0, got -5"):
+        train(build_model(cfg), _samples(), None, cfg, max_steps=-5)
 
 
 def test_metrics_jsonl_stream(tmp_path):
