@@ -22,7 +22,7 @@ from .data import (SceneSpec, generate_dataset, load_dataset,
 from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
 from .model import ModelConfig, build_model, full_vitb_config, param_count
 from .train import (REFERENCE_NOTE, ablate_decoder_depth, ablate_decoder_input,
-                    evaluate, train)
+                    check_max_steps, evaluate, train)
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -112,6 +112,7 @@ def _load_dataset_for(cfg, directory):
 
 def cmd_train(args):
     cfg = make_model_config(args)
+    check_max_steps(args.max_steps)   # before --out is created
     train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
     os.makedirs(args.out, exist_ok=True)

@@ -54,6 +54,8 @@ class SceneSpec:
             raise DataError("depth_coupling must be in [0,1]")
         if self.num_classes < 3:
             raise DataError("need at least 3 classes (background + coupled pair)")
+        if self.seed < 0:
+            raise DataError(f"seed must be at least 0, got {self.seed}")
         if self.num_classes > IGNORE_INDEX:
             raise DataError(f"at most {IGNORE_INDEX} classes: labels are 8-bit and "
                             f"{IGNORE_INDEX} means ignore")

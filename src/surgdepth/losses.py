@@ -36,12 +36,13 @@ def cross_entropy_loss(logits, labels):
     logsumexp = zmax + np.log(np.exp(z - zmax).sum(axis=0))
     picked = z[lab, np.arange(n_valid)]
     loss = (logsumexp - picked).mean()
+    dtype = logits.dtype
 
     def vjp(g):
         soft = np.exp(z - logsumexp)                # (K, n)
         soft[lab, np.arange(n_valid)] -= 1.0
         dflat = np.zeros((k, h * w), dtype=np.float64)
         dflat[:, vmask] = soft * (float(g) / n_valid)
-        return (dflat.reshape(k, h, w).astype(logits.dtype),)
+        return (dflat.reshape(k, h, w).astype(dtype),)
 
-    return T.Tensor._from_op(np.asarray(loss, dtype=logits.dtype), (logits,), vjp)
+    return T.Tensor._from_op(np.asarray(loss, dtype=dtype), (logits,), vjp)

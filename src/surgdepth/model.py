@@ -38,11 +38,13 @@ class ModelConfig:
     def validate(self):
         for name, low in (("image_h", 1), ("image_w", 1), ("patch", 1), ("embed_dim", 1),
                           ("depth_blocks", 0), ("heads", 1), ("fusion_k", 1),
-                          ("decoder_blocks", 0), ("batch_size", 1), ("epochs", 0),
-                          ("lr", 0), ("weight_decay", 0)):
+                          ("decoder_blocks", 0), ("num_classes", 1), ("seed", 0),
+                          ("batch_size", 1), ("epochs", 0), ("lr", 0), ("weight_decay", 0)):
             value = getattr(self, name)
             if not low <= value < np.inf:  # NaN fails too
                 raise ConfigError(f"{name} must be finite and at least {low}, got {value}")
+        if self.fusion_dim is not None and self.fusion_dim < 1:
+            raise ConfigError(f"fusion_dim must be at least 1, got {self.fusion_dim}")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ConfigError("image dims must be divisible by patch size")
         if self.patch % 4:

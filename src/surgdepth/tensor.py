@@ -1,11 +1,22 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap a flat row-major numpy buffer (float32 by default, float64
-supported for verification work). Every differentiable op records its
-inputs and a vector-Jacobian product on the output tensor; ``backward``
-replays the implicit tape in reverse topological order. The tape is
-rebuilt on every forward pass (define-by-run); inside ``no_grad()`` no
-tape is recorded at all.
+supported for verification work). Every differentiable op whose output
+requires grad gives that output a tape node (``_Node``): its
+vector-Jacobian product and the nodes of its inputs, a leaf's node being
+the leaf Tensor itself. A node never holds an input Tensor, so an
+intermediate's array stays alive only while user code or a VJP holds it.
+Each VJP keeps exactly the arrays it reads, plus shapes and dtypes:
+add, reshape, permute, concat, slice_axis, sum_ and ``_separable`` keep
+no array; matmul and mul keep their operands; conv2d its input and
+weight; layer_norm ``xhat``, ``inv`` and ``gamma``; softmax its output;
+gelu ``d`` and ``t``. So a taped forward frees, for example, each
+attention's pre-softmax scores, residual sums and pre-bias GEMM outputs
+as it goes. ``backward`` walks the nodes in reverse topological order
+and drops each VJP as soon as it has run, freeing what it kept: it
+consumes the graph, and a second backward through it raises
+``UsageError``. The tape is rebuilt on every forward pass
+(define-by-run); inside ``no_grad()`` no tape is recorded at all.
 
 matmul multiplies in the result dtype of its operands, so float32 models
 run float32 GEMMs and float64 models (gradient checks) stay float64. The
@@ -118,7 +129,7 @@ _SABOTAGE = None
 _GELU_C = math.sqrt(2.0 / math.pi)
 LAYER_NORM_EPS = 1e-6   # added to layer_norm's variance
 
-# False inside ``no_grad()``: op outputs then record no parents and no VJP.
+# False inside ``no_grad()``: op outputs then record no tape node.
 _grad_enabled = True
 
 
@@ -138,10 +149,26 @@ def no_grad():
         _grad_enabled = saved
 
 
+class _Node:
+    """One op on the tape: its VJP and the nodes of its inputs.
+
+    ``parents[i]`` is None for an input that needs no grad, the input
+    itself for a leaf, and the input's ``_Node`` otherwise, so the tape
+    holds no intermediate Tensor. ``backward`` sets ``vjp`` to None once
+    it has called it.
+    """
+
+    __slots__ = ("vjp", "parents")
+
+    def __init__(self, vjp, parents):
+        self.vjp = vjp
+        self.parents = parents
+
+
 class Tensor:
     """N-dimensional float array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -150,8 +177,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._node = None   # the op that made it, if it was taped
 
     # -- construction of op outputs ------------------------------------
     @classmethod
@@ -159,8 +185,8 @@ class Tensor:
         out = cls(data)
         if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = tuple(parents)
-            out._vjp = vjp
+            out._node = _Node(vjp, tuple((p._node or p) if p.requires_grad else None
+                                         for p in parents))
         return out
 
     # -- conveniences ---------------------------------------------------
@@ -213,20 +239,21 @@ def _unbroadcast(grad, shape):
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return Tensor._from_op(out, (a, b), vjp)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
     return Tensor._from_op(out, (a, b), vjp)
 
@@ -239,7 +266,8 @@ def exp(a):
 
 def log(a):
     a = as_tensor(a)
-    return Tensor._from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
+    d = a.data
+    return Tensor._from_op(np.log(d), (a,), lambda g: (g / d,))
 
 
 # Float32 values per _cube and gelu pass: keeps their temporaries in cache.
@@ -313,9 +341,10 @@ def sum_(x):
     """Sum of every element, accumulated in float64."""
     x = as_tensor(x)
     out = x.data.sum(dtype=np.float64)
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype),)
+        return (np.broadcast_to(g, shape).astype(dtype),)
 
     return Tensor._from_op(np.asarray(out, dtype=x.dtype), (x,), vjp)
 
@@ -327,7 +356,8 @@ def sum_(x):
 def reshape(x, shape):
     x = as_tensor(x)
     out = x.data.reshape(shape)
-    return Tensor._from_op(out, (x,), lambda g: (g.reshape(x.shape),))
+    in_shape = x.shape
+    return Tensor._from_op(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def permute(x, axes):
@@ -365,9 +395,10 @@ def slice_axis(x, axis, start, stop):
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     out = x.data[idx]
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape, dtype)
         full[idx] = g
         return (full,)
 
@@ -387,14 +418,15 @@ def matmul(a, b):
         raise ShapeError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading dims disagree: {a.shape} @ {b.shape}")
-    dtype = np.result_type(a.dtype, b.dtype)
-    out = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    dtype = np.result_type(ad.dtype, bd.dtype)
+    out = np.matmul(ad, bd)
 
     def vjp(g):
         g = g.astype(dtype, copy=False)
-        da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return da.astype(a.dtype, copy=False), db.astype(b.dtype, copy=False)
+        da = np.matmul(g, np.swapaxes(bd, -1, -2))
+        db = np.matmul(np.swapaxes(ad, -1, -2), g)
+        return da.astype(ad.dtype, copy=False), db.astype(bd.dtype, copy=False)
 
     return Tensor._from_op(out, (a, b), vjp)
 
@@ -459,16 +491,18 @@ def layer_norm(x, gamma, beta):
     w *= inv
     xhat = w.astype(x.dtype)
     del w   # freed before out is allocated
-    out = xhat * gamma.data
+    gd = gamma.data
+    out = xhat * gd
     out += beta.data
+    beta_dtype = beta.dtype
 
     def vjp(g):
-        dgamma = (g * xhat).reshape(-1, c).sum(axis=0, dtype=np.float64).astype(gamma.dtype)
-        dbeta = g.reshape(-1, c).sum(axis=0, dtype=np.float64).astype(beta.dtype)
-        dxhat = g * gamma.data
+        dgamma = (g * xhat).reshape(-1, c).sum(axis=0, dtype=np.float64).astype(gd.dtype)
+        dbeta = g.reshape(-1, c).sum(axis=0, dtype=np.float64).astype(beta_dtype)
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = ((dxhat - m1 - xhat * m2) * inv).astype(x.dtype)
+        dx = ((dxhat - m1 - xhat * m2) * inv).astype(xhat.dtype)
         return dx, dgamma, dbeta
 
     return Tensor._from_op(out.astype(x.dtype, copy=False), (x, gamma, beta), vjp)
@@ -522,11 +556,14 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     if (h + 2 * padding - kh) % stride or (w + 2 * padding - kw) % stride:
         raise ShapeError("conv2d output size is not integral for this stride/padding")
     c_out_g, k = c_out // groups, c_in_g * kh * kw
+    xd, wd = x.data, weight.data
+    x_grad = x.requires_grad
+    b_dtype = None if bias is None else bias.dtype
 
     def grouped():
         """Patches as (groups, k, L) and weights as (groups, c_out_g, k), float64."""
-        cols, ho, wo = _im2col(x.data, kh, kw, stride, padding)
-        w_g = weight.data.reshape(groups, c_out_g, k).astype(np.float64)
+        cols, ho, wo = _im2col(xd, kh, kw, stride, padding)
+        w_g = wd.reshape(groups, c_out_g, k).astype(np.float64)
         return cols.reshape(groups, k, ho * wo), w_g, ho, wo
 
     cols_g, w_g, ho, wo = grouped()
@@ -538,19 +575,19 @@ def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):
     def vjp(g):
         cols_g, w_g, _, _ = grouped()
         g_g = g.reshape(groups, c_out_g, ho * wo).astype(np.float64)
-        dw = np.matmul(g_g, np.swapaxes(cols_g, 1, 2)).reshape(weight.shape).astype(weight.dtype)
+        dw = np.matmul(g_g, np.swapaxes(cols_g, 1, 2)).reshape(wd.shape).astype(wd.dtype)
         del cols_g   # freed before dcols is built
         dx = None   # an input that needs no grad (a raw image) skips dcols and _col2im
-        if x.requires_grad:
+        if x_grad:
             if c_out_g == 1:   # a matmul with inner dimension 1: each term is one product
                 dcols = np.swapaxes(w_g, 1, 2) * g_g
             else:
                 dcols = np.matmul(np.swapaxes(w_g, 1, 2), g_g)
             dcols = dcols.reshape(c_in, kh * kw, ho * wo)
-            dx = _col2im(dcols, c_in, h, w, kh, kw, stride, padding, ho, wo).astype(x.dtype)
-        if bias is None:
+            dx = _col2im(dcols, c_in, h, w, kh, kw, stride, padding, ho, wo).astype(xd.dtype)
+        if b_dtype is None:
             return dx, dw
-        db = g.sum(axis=(1, 2), dtype=np.float64).astype(bias.dtype)
+        db = g.sum(axis=(1, 2), dtype=np.float64).astype(b_dtype)
         return dx, dw, db
 
     return Tensor._from_op(out.astype(x.dtype), parents, vjp)
@@ -562,11 +599,12 @@ def _separable(x, r, s, area=None):
     out = r @ x.data.astype(np.float64) @ s.T
     if area is not None:
         out /= area
+    dtype = x.dtype
 
     def vjp(g):
         if area is not None:
             g = g / area.astype(g.dtype)
-        return ((r.T @ g.astype(np.float64) @ s).astype(x.dtype),)
+        return ((r.T @ g.astype(np.float64) @ s).astype(dtype),)
 
     return out, vjp
 
@@ -627,6 +665,7 @@ def bilinear_resize(x, h_out, w_out):
 # ---------------------------------------------------------------------
 
 def _topo(root):
+    """Tape nodes reachable from ``root``, each after every node it reads."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, done = stack.pop()
@@ -637,34 +676,42 @@ def _topo(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        if isinstance(node, _Node):
+            if node.vjp is None:
+                raise UsageError("backward through a graph that an earlier backward consumed")
+            stack.extend((p, False) for p in node.parents if p is not None)
     return order
 
 
 def backward(loss):
-    """Populate ``.grad`` on every requires-grad tensor reachable from loss.
+    """Populate ``.grad`` on every requires-grad leaf reachable from loss.
 
     Grads accumulate across calls; use zero_grad / the optimizer to reset.
+    Backward consumes the graph: each node's VJP, and with it the arrays
+    that VJP saved, is dropped as soon as it has run, so memory falls as
+    backward walks up the graph. A second backward through the same graph
+    raises ``UsageError``; run the forward again instead.
     """
     if not isinstance(loss, Tensor):
         raise UsageError("backward expects a Tensor")
     if loss.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad and loss._vjp is None:
+    if not loss.requires_grad:
         warnings.warn("backward called on a detached graph; no grads to populate")
         return
-    order = _topo(loss)
-    grads = {id(loss): np.ones_like(loss.data)}
+    root = loss._node or loss
+    order = _topo(root)
+    grads = {id(root): np.ones_like(loss.data)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad and node._vjp is None:
+        if isinstance(node, Tensor):   # a leaf
             node.grad = g.copy() if node.grad is None else node.grad + g
-        if node._vjp is not None:
-            for parent, pg in zip(node._parents, node._vjp(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
+            continue
+        vjp, node.vjp = node.vjp, None
+        for parent, pg in zip(node.parents, vjp(g)):
+            if pg is None or parent is None:
+                continue
+            acc = grads.get(id(parent))
+            grads[id(parent)] = pg if acc is None else acc + pg

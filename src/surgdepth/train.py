@@ -53,6 +53,12 @@ def _at_step(step, done, lr, opt):
     return f"at step {step} (lr={lr}, previous step's grad_norm={norm})"
 
 
+def check_max_steps(max_steps):
+    """Raise UsageError for a step cap below 0 (None means no cap)."""
+    if max_steps is not None and max_steps < 0:
+        raise UsageError(f"max_steps must be at least 0, got {max_steps}")
+
+
 def train(model, train_samples, val_samples, cfg, *, max_steps=None,
           use_augment=True, baseline_rgb_only=False, metrics_path=None,
           ckpt_path=None, log=None):
@@ -68,8 +74,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     per forward and the gradients accumulate in batch order, so the
     weights are bit-identical to one backward of the batch-mean loss.
     """
-    if max_steps is not None and max_steps < 0:
-        raise UsageError(f"max_steps must be at least 0, got {max_steps}")
+    check_max_steps(max_steps)
     if not train_samples:
         raise DataError("empty training set")
     rng = make_rng(cfg.seed)

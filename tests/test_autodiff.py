@@ -1,10 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from surgdepth import tensor as T
+from surgdepth.data import SceneSpec, generate_dataset
 from surgdepth.errors import DeterminismError, UsageError
 from surgdepth.fusion import FusionBlock, TokenGrid
 from surgdepth.gradcheck import grad_check
+from surgdepth.losses import cross_entropy_loss
+from surgdepth.model import ModelConfig, build_model
 from surgdepth.rng import make_rng
 
 
@@ -39,6 +44,63 @@ def test_detached_graph_warns():
     x = T.Tensor(np.ones(1))
     with pytest.warns(UserWarning):
         T.backward(x)
+
+
+def _toy_loss():
+    """A taped toy forward: the fusion block and one encoder block each run
+    one attention, and the encoder and decoder blocks one gelu each."""
+    cfg = ModelConfig(image_h=16, image_w=16, patch=4, embed_dim=16, depth_blocks=1,
+                      heads=2, fusion_k=2, decoder_blocks=1, num_classes=4)
+    model = build_model(cfg)
+    s = generate_dataset(SceneSpec(seed=0), 1, 16, 16)[0]
+    return model, cross_entropy_loss(model(s.rgb, s.depth), s.label)
+
+
+# The three tests below watch NumPy arrays through weakrefs and call no
+# gc.collect(): the tape has no reference cycles, so an array is freed as
+# soon as nothing holds it.
+
+def test_attention_scores_freed_during_forward(monkeypatch):
+    """softmax's VJP keeps its output, so each attention's score matrix
+    (the softmax input) is freed while the loss is alive."""
+    scores, softmax = [], T.softmax
+
+    def watched(x, *args, **kwargs):
+        scores.append(weakref.ref(x.data))
+        return softmax(x, *args, **kwargs)
+
+    monkeypatch.setattr(T, "softmax", watched)
+    _, loss = _toy_loss()
+    assert loss.requires_grad and len(scores) == 2
+    assert [ref() is None for ref in scores] == [True, True]
+
+
+def test_backward_frees_saved_arrays(monkeypatch):
+    """Each gelu's VJP keeps ``d`` and ``t`` until backward has run it,
+    then drops them, though the loss is still referenced."""
+    saved, gelu = [], T.gelu
+
+    def watched(x):
+        out = gelu(x)
+        saved.extend(weakref.ref(cell.cell_contents) for cell in out._node.vjp.__closure__
+                     if isinstance(cell.cell_contents, np.ndarray))
+        return out
+
+    monkeypatch.setattr(T, "gelu", watched)
+    _, loss = _toy_loss()
+    assert len(saved) == 4 and all(ref() is not None for ref in saved)
+    T.backward(loss)
+    assert [ref() is None for ref in saved] == [True] * 4   # loss is still bound
+
+
+def test_second_backward_through_a_graph_raises():
+    model, loss = _toy_loss()
+    T.backward(loss)
+    grads = [p.grad.copy() for p in model.parameters()]
+    with pytest.raises(UsageError, match="earlier backward consumed"):
+        T.backward(loss)
+    for p, g in zip(model.parameters(), grads):
+        assert p.grad.tobytes() == g.tobytes()
 
 
 def _taped(x):

@@ -1,7 +1,10 @@
+import re
 import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgdepth import rng as rng_mod
 from surgdepth.checkpoint import (MAGIC, load_checkpoint, load_model,
@@ -220,3 +223,39 @@ def test_save_is_deterministic(tmp_path):
     save_model(p1, model)
     save_model(p2, model)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "toy.ckpt"
+    save_model(path, build_model(_toy_cfg()))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_raises_only_input_errors(tmp_path_factory, toy_checkpoint, data):
+    """Mutated bytes of a valid checkpoint (most edits in the manifest)
+    either load or raise FormatError, DataError or ConfigError."""
+    blob = bytearray(toy_checkpoint)
+    numbers = [m.span() for m in re.finditer(rb"\d+", blob[:blob.index(b"\n\n")])][1:]
+    swap = data.draw(st.one_of(st.none(), st.tuples(st.sampled_from(numbers),
+                                                     st.integers(-2 ** 33, 2 ** 33))))
+    if swap:   # one number of the manifest (past the magic) becomes another
+        (lo, hi), value = swap
+        blob[lo:hi] = b"%d" % value
+    header = blob.index(b"\n\n") + 2
+    pos = st.one_of(st.integers(0, header), st.integers(0, len(blob) - 1))
+    byte = st.one_of(st.sampled_from(b"0123456789,- \n"), st.integers(0, 255))
+    for at, value in data.draw(st.lists(st.tuples(pos, byte), max_size=4)):
+        blob[at] = value
+    at, extra = data.draw(st.tuples(pos, st.binary(max_size=3)))
+    blob[at:at] = extra
+    cut = data.draw(st.one_of(st.none(), pos))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ckpt"
+    path.write_bytes(bytes(blob[:cut]))
+    for load in (load_checkpoint, lambda p: load_model(p, build_model(_toy_cfg()))):
+        try:
+            load(path)
+        except (FormatError, DataError, ConfigError):
+            pass

@@ -1,14 +1,20 @@
+import argparse
 import hashlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from surgdepth import tensor as T
 from surgdepth.checkpoint import load_checkpoint
 from surgdepth.cli import (EXIT_DATA, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
-                           EXIT_VERIFY_FAIL, main, read_config_file)
-from surgdepth.errors import UsageError
+                           EXIT_VERIFY_FAIL, main, make_model_config, read_config_file)
+from surgdepth.errors import ConfigError, UsageError
+from surgdepth.model import ModelConfig, build_model
 
 TOY_FLAGS = ["--size", "16", "--patch", "4", "--embed-dim", "16",
              "--encoder-blocks", "1", "--heads", "2", "--fusion-k", "2",
@@ -56,11 +62,14 @@ class TestUsage:
         ([], "epochs=-1\n"), ([], "lr=inf\n"),
         (["--patch", "0"], ""), (["--heads", "0"], ""), (["--heads", "-2"], ""),
         (["--embed-dim", "0"], ""), (["--fusion-k", "0"], ""),
-        (["--encoder-blocks", "-3"], ""), (["--decoder-blocks", "-1"], "")],
+        (["--encoder-blocks", "-3"], ""), (["--decoder-blocks", "-1"], ""),
+        (["--seed", "-1"], ""), (["--classes", "0"], ""),
+        ([], "fusion_dim=0\n"), ([], "fusion_dim=-3\n")],
         ids=["batch-size-0", "batch-size-negative", "lr-nan", "weight-decay-negative",
              "file-epochs-negative", "file-lr-inf", "patch-0", "heads-0", "heads-negative",
              "embed-dim-0", "fusion-k-0", "encoder-blocks-negative",
-             "decoder-blocks-negative"])
+             "decoder-blocks-negative", "seed-negative", "classes-0",
+             "file-fusion-dim-0", "file-fusion-dim-negative"])
     def test_untrainable_hyperparameter_is_mismatch(self, tmp_path, dataset, capsys,
                                                     flags, config):
         cfg = tmp_path / "cfg.txt"
@@ -101,7 +110,45 @@ class TestUsage:
         assert str(cfg) in err and "Traceback" not in err
 
 
+# A valid-looking value for every ModelConfig field, image sides at most 16
+# so each config that validates runs one small forward; the fuzz then
+# overrides up to three fields with a bad value.
+_GOOD_CONFIG = {
+    "image_h": ["8", "12", "16"], "image_w": ["8", "12", "16"], "patch": ["4", "8"],
+    "embed_dim": ["8", "16", "24"], "depth_blocks": ["0", "1", "2"], "heads": ["1", "2", "4"],
+    "fusion_k": ["1", "2", "3"], "fusion_dim": ["1", "3", "8"],
+    "decoder_blocks": ["0", "1", "2"], "num_classes": ["1", "2", "5"],
+    "decoder_input": ["rgb_only", "rgb_and_depth"], "seed": ["0", "1", "7"],
+    "lr": ["0", "1e-3", "0.5"], "weight_decay": ["0", "0.05"], "epochs": ["0", "1", "3"],
+    "batch_size": ["1", "2"]}
+_BAD_VALUE = st.one_of(st.integers(-3, 0).map(str), st.sampled_from(
+    ["", "x", "1.5", "-0.5", "0x10", "1e400", "nan", "inf", "-inf", "depth_only"]))
+
+
 class TestConfigFile:
+    @settings(max_examples=300, deadline=None)
+    @given(good=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _GOOD_CONFIG.items()}),
+           bad=st.dictionaries(st.sampled_from(sorted(_GOOD_CONFIG)), _BAD_VALUE, max_size=3))
+    @example(good={k: v[0] for k, v in _GOOD_CONFIG.items()}, bad={"seed": "-1"})
+    @example(good={k: v[0] for k, v in _GOOD_CONFIG.items()}, bad={"fusion_dim": "0"})
+    @example(good={k: v[0] for k, v in _GOOD_CONFIG.items()}, bad={"fusion_dim": "-3"})
+    def test_fuzzed_config_raises_only_usage_or_config_errors(self, tmp_path_factory,
+                                                              good, bad):
+        """Any bounded key=value file either builds a model that runs one
+        forward or raises UsageError/ConfigError."""
+        assert set(_GOOD_CONFIG) == {f.name for f in fields(ModelConfig)}
+        path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in {**good, **bad}.items()))
+        try:
+            cfg = make_model_config(argparse.Namespace(config=str(path)))
+        except (UsageError, ConfigError):
+            return
+        model = build_model(cfg)
+        with T.no_grad():
+            out = model(np.zeros((3, cfg.image_h, cfg.image_w), np.float32),
+                        np.zeros((1, cfg.image_h, cfg.image_w), np.float32))
+        assert out.shape == (cfg.num_classes, cfg.image_h, cfg.image_w)
+
     def test_parse_values_and_comments(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\nlr = 0.5\nbatch_size=4\n\n")
@@ -142,9 +189,10 @@ class TestGenData:
         (["--classes", "300"], "at most 255 classes"),
         (["--val-fraction", "nan"], "val fraction must be in [0, 1], got nan"),
         (["--val-fraction", "-1"], "val fraction must be in [0, 1], got -1.0"),
-        (["--val-fraction", "2"], "val fraction must be in [0, 1], got 2.0")],
+        (["--val-fraction", "2"], "val fraction must be in [0, 1], got 2.0"),
+        (["--seed", "-1"], "seed must be at least 0, got -1")],
         ids=["size-0", "size-negative", "classes-over-8-bit", "val-fraction-nan",
-             "val-fraction-negative", "val-fraction-over-1"])
+             "val-fraction-negative", "val-fraction-over-1", "seed-negative"])
     def test_bad_scene_is_data_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "d"
         code = main(["gen-data", "--n", "2", "--size", "16", *flags, "--out", str(out)])
@@ -282,7 +330,7 @@ class TestTrainEval:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "max_steps must be at least 0, got -5" in err and "Traceback" not in err
-        assert not (tmp_path / "run" / "best.ckpt").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_missing_checkpoint_exits_65(self, tmp_path, dataset, capsys):
         missing = tmp_path / "none.ckpt"

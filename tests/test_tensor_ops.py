@@ -296,7 +296,7 @@ class TestConv2d:
                        T.Tensor(b, requires_grad=True), stride=stride, padding=padding,
                        groups=groups)
         g = rng.normal(size=out.shape).astype(dtype)
-        dx, dw, db = out._vjp(g)
+        dx, dw, db = out._node.vjp(g)
         c_out, c_in_g, kh, kw = wshape
         cols, ho, wo = T._im2col(x, kh, kw, stride, padding)
         cols_g = cols.reshape(groups, c_in_g * kh * kw, ho * wo)
@@ -316,7 +316,7 @@ class TestConv2d:
         out = T.conv2d(T.Tensor(np.ones((c_in, h, w), np.float32), requires_grad=True),
                        T.Tensor(np.ones(wshape, np.float32), requires_grad=True),
                        stride=stride, padding=padding, groups=groups)
-        held, todo = [], [out._vjp]
+        held, todo = [], [out._node.vjp]
         while todo:
             f = todo.pop()
             for cell in f.__closure__ or ():
