@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 numeric abort,
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -90,12 +91,29 @@ def make_model_config(args):
     return ModelConfig(**{k: _coerce(k, v) for k, v in overrides.items()}).validate()
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised inside into a UsageError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_out_file(path):
+    """Before any work: UsageError unless ``path`` is a file name in an
+    existing directory."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+
+
 def cmd_gen_data(args):
     spec = SceneSpec(num_classes=args.classes, depth_coupling=args.depth_coupling,
                      seed=args.seed)
     samples = generate_dataset(spec, args.n, args.size, args.size)
-    write_dataset(args.out, samples, args.classes, val_fraction=args.val_fraction,
-                  seed=args.seed)
+    with _writing(args.out):
+        write_dataset(args.out, samples, args.classes, val_fraction=args.val_fraction,
+                      seed=args.seed)
     frac = rgb_ambiguous_fraction(samples)
     print(f"wrote {len(samples)} samples to {args.out}")
     print(f"rgb-ambiguous pixel fraction: {frac:.3f}")
@@ -115,7 +133,8 @@ def cmd_train(args):
     check_max_steps(args.max_steps)   # before --out is created
     train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "best.ckpt")
     metrics = os.path.join(args.out, "metrics.jsonl")
     if cfg.epochs == 0 or args.max_steps == 0:
@@ -132,6 +151,8 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = make_model_config(args)
+    if args.out:
+        _check_out_file(args.out)
     train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
     if args.ckpt:
@@ -151,6 +172,7 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     cfg = make_model_config(args)
+    _check_out_file(args.out)
     train_s, val_s = _load_dataset_for(cfg, args.data)
     ablate, key = ((ablate_decoder_depth, "blocks") if args.study == "decoder-depth"
                    else (ablate_decoder_input, "decoder_input"))

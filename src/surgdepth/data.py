@@ -264,12 +264,19 @@ def _write_pnm(path, magic, arr, maxval):
         fh.write(raster)
 
 
-def _read_pnm(path, expect_magic):
+def _open_input(path):
+    """Open ``path`` for binary reading; DataError if the OS refuses."""
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        return open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"{path}: no such file") from None
+    except OSError as exc:   # a directory, not a directory, a name too long
+        raise DataError(f"{path}: {exc.strerror}") from None
+
+
+def _read_pnm(path, expect_magic):
+    with _open_input(path) as fh:
+        blob = fh.read()
     pos = 0
 
     def token():
@@ -332,14 +339,14 @@ def write_sample(directory, index, sample):
 
 def read_sample(directory, index):
     rgb_path, depth_path, label_path = sample_paths(directory, index)
-    rgb, _ = _read_pnm(rgb_path, "P6")
+    rgb, rmax = _read_pnm(rgb_path, "P6")
     depth, dmax = _read_pnm(depth_path, "P5")
     label, _ = _read_pnm(label_path, "P5")
     if rgb.shape[:2] != depth.shape or depth.shape != label.shape:
         raise DataError(f"sample {index}: raster sizes disagree "
                         f"({rgb.shape[:2]}, {depth.shape}, {label.shape})")
     return RgbdSample(
-        rgb=(rgb.astype(np.float32) / 255.0).transpose(2, 0, 1),
+        rgb=(rgb.astype(np.float32) / rmax).transpose(2, 0, 1),
         depth=(depth.astype(np.float32) / dmax)[None],
         label=label.astype(np.int32),
     )
@@ -362,28 +369,28 @@ def write_dataset(directory, samples, num_classes, val_fraction=0.25, seed=0):
 def load_dataset(directory):
     """Returns (train_samples, val_samples, num_classes).
 
-    Each manifest line reads ``index split height width num_classes``, split
-    being train or val. Labels must be below num_classes or IGNORE_INDEX.
+    Each manifest line reads ``index split height width num_classes`` in
+    UTF-8, split being train or val, each index listed once. Labels must be
+    below num_classes or IGNORE_INDEX.
     """
     manifest = os.path.join(directory, "manifest.txt")
-    train, val, k = [], [], None
-    try:
-        fh = open(manifest)
-    except FileNotFoundError:
-        raise DataError(f"{manifest}: no such file") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
+    train, val, k, seen = [], [], None, set()
+    with _open_input(manifest) as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                idx, split, h, w, kk = line.split()
+                idx, split, h, w, kk = raw.decode("utf-8").split()
                 idx, h, w, kk = int(idx), int(h), int(w), int(kk)
-            except ValueError:
+            except ValueError:   # UnicodeDecodeError included
                 raise DataError(f"{manifest}:{lineno}: expected 'index split height "
-                                f"width num_classes', got {line!r}") from None
+                                f"width num_classes' in UTF-8, got {raw!r}") from None
             if split not in ("train", "val"):
                 raise DataError(f"{manifest}:{lineno}: split {split!r} is not train or val")
             if k not in (None, kk):
                 raise DataError(f"{manifest}:{lineno}: {kk} classes, earlier lines say {k}")
             k = kk
+            if idx in seen:
+                raise DataError(f"{manifest}:{lineno}: sample {idx} is listed twice")
+            seen.add(idx)
             sample = read_sample(directory, idx)
             if sample.label.shape != (h, w):
                 raise DataError(f"sample {idx}: manifest size mismatch")

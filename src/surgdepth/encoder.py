@@ -12,7 +12,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, ShapeError
 from .fusion import grid_from_chw
-from .nn import Conv2d, LayerNorm, Linear, Module, attention
+from .nn import Conv2d, LayerNorm, Linear, Module
 
 MLP_RATIO = 4   # MLP hidden width per embedding width
 
@@ -47,7 +47,7 @@ class MultiHeadSelfAttention(Module):
         q = self._split_heads(T.slice_axis(qkv, 1, 0, c))
         k = self._split_heads(T.slice_axis(qkv, 1, c, 2 * c))
         v = self._split_heads(T.slice_axis(qkv, 1, 2 * c, 3 * c))
-        out = attention(q, k, v)                                # (heads, n, hd)
+        out = T.attention(q, k, v)                              # (heads, n, hd)
         out = T.reshape(T.permute(out, (1, 0, 2)), (n, c))
         return self.proj(out)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .nn import Linear, Module, attention
+from .nn import Linear, Module
 
 
 @dataclass
@@ -83,7 +83,7 @@ class FusionBlock(Module):
         q = self.make_query(x_rgb, x_depth if query_depth is None else query_depth)
         k_mat = self.fc_k(x_rgb.tokens)   # (h*w, C_d)
         v = self.fc_v(x_rgb.tokens)       # (h*w, C_d)
-        ctx = attention(q, k_mat, v)      # (k^2, C_d)
+        ctx = T.attention(q, k_mat, v)    # (k^2, C_d)
         ctx_grid = TokenGrid(self.k, self.k, ctx).to_chw()          # (C_d,k,k)
         up = T.bilinear_resize(ctx_grid, h, w)                      # (C_d,h,w)
         ctx_tokens = grid_from_chw(up).tokens                       # (h*w, C_d)

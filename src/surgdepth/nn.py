@@ -13,8 +13,6 @@ Layers hold float32 parameters. ``Module.astype(np.float64)`` casts
 them in place, which is how gradient checks get a float64 model.
 """
 
-import math
-
 import numpy as np
 
 from . import tensor as T
@@ -39,14 +37,6 @@ class Module:
         for _, p in self.named_parameters():
             p.data = p.data.astype(dtype)
         return self
-
-
-def attention(q, k, v):
-    """softmax(q @ k^T / sqrt(d)) @ v over the last two axes, d = q.shape[-1]."""
-    lead = len(k.shape) - 2
-    axes = (*range(lead), lead + 1, lead)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    return T.matmul(T.softmax(T.matmul(q, T.permute(k, axes)), axis=-1, scale=scale), v)
 
 
 class Linear(Module):

@@ -10,9 +10,10 @@ Each VJP keeps exactly the arrays it reads, plus shapes and dtypes:
 add, reshape, permute, concat, slice_axis, sum_ and ``_separable`` keep
 no array; matmul and mul keep their operands; conv2d its input and
 weight; layer_norm ``xhat``, ``inv`` and ``gamma``; softmax its output;
-gelu ``d`` and ``t``. So a taped forward frees, for example, each
-attention's pre-softmax scores, residual sums and pre-bias GEMM outputs
-as it goes. ``backward`` walks the nodes in reverse topological order
+gelu ``d`` and ``t``; attention q, k and v, recomputing the probabilities
+when it runs. So a taped forward frees, for example, each attention's
+scores and probabilities, residual sums and pre-bias GEMM outputs as it
+goes. ``backward`` walks the nodes in reverse topological order
 and drops each VJP as soon as it has run, freeing what it kept: it
 consumes the graph, and a second backward through it raises
 ``UsageError``. The tape is rebuilt on every forward pass
@@ -40,19 +41,21 @@ runs a SIMD kernel for bases >= 0 but a per-element scalar routine, about
 50x slower, for each negative base. Lanes >= 0 take the SIMD kernel on
 ``|d|``. Negative lanes take the float64 cube rounded to float32: the
 float64 product of three float32 values is within 2**-29 ULP of the
-exact cube, and the scalar routine is within 0.508 ULP of it, so both
-round to the same float32 unless the cube lies near the midpoint of two
-float32 values. Negative lanes are recomputed with ``** 3`` itself when
-(a) the float64 cube is more than 0.48 ULP from its float32 rounding,
-read off the float64's low 29 bits, (b) that rounding is a power of two,
-zero or infinite (the ULP halves below a power of two), or (c) its
-magnitude is below 2**-100 (the scalar routine misrounds subnormal
-cubes). About 4% of negative lanes are recomputed. Values go 32K at a
-time so the float64 temporaries stay in cache. All 2**32 float32 bit
-patterns give ``d ** 3``'s bits on NumPy 2.4 with AVX-512;
-``surgdepth verify`` checks a probe set, so a NumPy whose ``power``
-rounds differently fails there. Float64 arrays (gradient checks) take
-``np.power(d, 3)`` directly, through the same chunked gelu loop.
+exact cube, and the scalar routine is within about 0.509 ULP of it (a
+scan of five binades of negative float32 found lanes 0.00884 ULP from a
+midpoint that it rounds the other way), so both round to the same
+float32 unless the cube lies near the midpoint of two float32 values.
+Negative lanes are recomputed with ``** 3`` itself when (a) the float64
+cube is more than 0.48 ULP from its float32 rounding, read off the
+float64's low 29 bits, (b) that rounding is a power of two, zero or
+infinite (the ULP halves below a power of two), or (c) its magnitude is
+below 2**-100 (the scalar routine misrounds subnormal cubes). About 4%
+of negative lanes are recomputed. Values go 32K at a time so the float64
+temporaries stay in cache. All 2**32 float32 bit patterns give
+``d ** 3``'s bits on NumPy 2.4 with AVX-512; ``surgdepth verify`` checks
+a probe set, so a NumPy whose ``power`` rounds differently fails there.
+Float64 arrays (gradient checks) take ``np.power(d, 3)`` directly,
+through the same chunked gelu loop.
 
 softmax, gelu and layer_norm run the NumPy operations of their plain
 whole-array formulas in the same order on the same values, so their bits
@@ -419,16 +422,16 @@ def matmul(a, b):
     if a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul leading dims disagree: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    dtype = np.result_type(ad.dtype, bd.dtype)
     out = np.matmul(ad, bd)
+    return Tensor._from_op(out, (a, b), lambda g: _matmul_vjp(ad, bd, g))
 
-    def vjp(g):
-        g = g.astype(dtype, copy=False)
-        da = np.matmul(g, np.swapaxes(bd, -1, -2))
-        db = np.matmul(np.swapaxes(ad, -1, -2), g)
-        return da.astype(ad.dtype, copy=False), db.astype(bd.dtype, copy=False)
 
-    return Tensor._from_op(out, (a, b), vjp)
+def _matmul_vjp(ad, bd, g):
+    """(dA, dB) of ``ad @ bd`` for upstream ``g``, in the operands' dtypes."""
+    g = g.astype(np.result_type(ad.dtype, bd.dtype), copy=False)
+    da = np.matmul(g, np.swapaxes(bd, -1, -2))
+    db = np.matmul(np.swapaxes(ad, -1, -2), g)
+    return da.astype(ad.dtype, copy=False), db.astype(bd.dtype, copy=False)
 
 
 # Bytes of softmax input per row block: the block's passes stay in L2.
@@ -461,15 +464,53 @@ def softmax(x, axis=-1, scale=None):
         np.exp(o, out=o)
         o /= o.sum(axis=-1, keepdims=True)
     s = s.reshape(d.shape)
+    return Tensor._from_op(s, (x,), lambda g: (_softmax_vjp(s, g, scale),))
+
+
+def _softmax_vjp(s, g, scale):
+    """Input gradient of a softmax whose output is ``s``, for upstream ``g``."""
+    dot = (g * s).sum(axis=-1, keepdims=True)
+    dx = s * (g - dot)
+    if scale is not None:
+        dx *= scale
+    return dx
+
+
+def attention(q, k, v):
+    """softmax(q @ k^T / sqrt(d)) @ v over the last two axes, d = q.shape[-1].
+
+    The forward runs permute, matmul, softmax and matmul under ``no_grad``,
+    and the output gets one tape node whose VJP keeps q, k and v only. It
+    recomputes the probabilities with the same calls, then applies the
+    matmul, softmax and permute VJPs to the same arrays, so dq, dk and dv
+    have the bits those ops' own tape would give, while no (n, n)
+    probability matrix waits for backward.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    lead = k.data.ndim - 2
+    axes = (*range(lead), lead + 1, lead)   # a swap: its own inverse
+    scale = np.float32(1.0 / math.sqrt(q.shape[-1]))   # as softmax rounds it
+    qd, kd, vd = q.data, k.data, v.data
+
+    def probs():
+        kt = permute(kd, axes)
+        return kt.data, softmax(matmul(qd, kt), axis=-1, scale=scale).data
+
+    with no_grad():
+        out = matmul(probs()[1], vd).data
 
     def vjp(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        dx = s * (g - dot)
-        if scale is not None:
-            dx *= scale
-        return (dx,)
+        with no_grad():
+            ktd, p = probs()
+        dp, dv = _matmul_vjp(p, vd, g)
+        ds = _softmax_vjp(p, dp, scale)
+        del p, dp   # freed before the score GEMMs
+        dq, dkt = _matmul_vjp(qd, ktd, ds)
+        return dq, np.transpose(dkt, axes), dv
 
-    return Tensor._from_op(s, (x,), vjp)
+    # backward visits these parents v, k, q, as it did the composite chain,
+    # so a tensor feeding several of them sums its gradients in the same order
+    return Tensor._from_op(out, (q, k, v), vjp)
 
 
 def layer_norm(x, gamma, beta):

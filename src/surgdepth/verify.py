@@ -126,6 +126,7 @@ def check_per_op_grads():
     y = leaf(3, 5)
     g, bta, z = leaf(5), leaf(5), leaf(4, 5)
     xc, wc, bc = leaf(2, 6, 6), leaf(3, 2, 3, 3), leaf(3)
+    q, k, v = leaf(2, 3, 4), leaf(2, 5, 4), leaf(2, 5, 3)
     # (name, tolerance, function summed, its parameters): linear ops at
     # 1e-6 and 1e-5, nonlinear ones at 1e-3
     table = [
@@ -139,6 +140,8 @@ def check_per_op_grads():
          [("x", xc), ("w", wc), ("b", bc)]),
         ("softmax(scale=0.37)", 1e-3,
          lambda: T.mul(T.softmax(y, axis=-1, scale=0.37), T.gelu(y)), [("y", y)]),
+        ("attention", 1e-3, lambda: T.gelu(T.attention(q, k, v)),
+         [("q", q), ("k", k), ("v", v)]),
     ]
     failures = []
     for name, tol, f, params in table:

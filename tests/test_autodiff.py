@@ -1,3 +1,4 @@
+import math
 import weakref
 
 import numpy as np
@@ -73,6 +74,22 @@ def test_attention_scores_freed_during_forward(monkeypatch):
     _, loss = _toy_loss()
     assert loss.requires_grad and len(scores) == 2
     assert [ref() is None for ref in scores] == [True, True]
+
+
+def test_attention_probabilities_freed_during_forward(monkeypatch):
+    """attention's VJP keeps q, k and v and recomputes the probabilities,
+    so no softmax output outlives the forward while the loss is alive."""
+    probs, softmax = [], T.softmax
+
+    def watched(*args, **kwargs):
+        out = softmax(*args, **kwargs)
+        probs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "softmax", watched)
+    _, loss = _toy_loss()
+    assert loss.requires_grad and len(probs) == 2
+    assert [ref() is None for ref in probs] == [True, True]
 
 
 def test_backward_frees_saved_arrays(monkeypatch):
@@ -228,3 +245,42 @@ def test_every_differentiable_op_passes_grad_check(name):
         params, tol = [("x", x)], 1e-6
     rep = grad_check(fns, params, tol=tol)
     assert rep.passed, f"{name}: {rep}"
+
+
+def _composite_attention(q, k, v):
+    """The matmul/softmax/matmul chain, every op on the tape."""
+    lead = q.data.ndim - 2
+    kt = T.permute(k, (*range(lead), lead + 1, lead))
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    return T.matmul(T.softmax(T.matmul(q, kt), axis=-1, scale=scale), v)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shapes", [((2, 6, 4), (2, 6, 4), (2, 6, 4)),
+                                    ((4, 8), (10, 8), (10, 6))],
+                         ids=["mhsa-heads-n-d", "fusion-2d"])
+def test_attention_grads_match_composite_chain_bit_for_bit(dtype, shapes):
+    rng = make_rng(12)
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    w = T.Tensor(rng.normal(size=shapes[0][:-1] + shapes[2][-1:]).astype(dtype))
+    results = []
+    for fn in (T.attention, _composite_attention):
+        q, k, v = (T.Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = fn(q, k, v)
+        T.backward(T.sum_(T.mul(out, w)))
+        results.append([t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)])
+        assert q.grad.dtype == k.grad.dtype == v.grad.dtype == dtype
+    assert results[0] == results[1]
+
+
+def test_model_grads_match_composite_attention_bit_for_bit(monkeypatch):
+    """Through a whole model, where one token stream feeds the fusion
+    block's q, k and v, the attention node's gradients sum in the same
+    order as the composite chain's."""
+    grads = []
+    for attention in (T.attention, _composite_attention):
+        monkeypatch.setattr(T, "attention", attention)
+        model, loss = _toy_loss()
+        T.backward(loss)
+        grads.append([p.grad.tobytes() for p in model.parameters()])
+    assert grads[0] == grads[1]

@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -342,6 +345,73 @@ class TestTrainEval:
         code = main(["eval", *TOY_FLAGS, "--data", str(tmp_path)])
         assert code == EXIT_DATA
         assert "manifest.txt: no such file" in capsys.readouterr().err
+
+    def test_data_path_that_is_a_file_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "file"
+        data.write_text("")
+        code = main(["eval", *TOY_FLAGS, "--data", str(data)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{data}/manifest.txt: Not a directory" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "gen-data", "train"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, dataset, capsys, command):
+        """--out in a missing directory (eval, ablate) or under a regular
+        file (gen-data, train) exits 64 naming the path."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = {"eval": tmp_path / "missing" / "eval.json",
+               "ablate": tmp_path / "missing" / "t.csv",
+               "gen-data": blocker / "data", "train": blocker / "run"}[command]
+        extra = {"eval": [*TOY_FLAGS, "--data", dataset],
+                 "ablate": [*TOY_FLAGS, "--study", "decoder-depth", "--max-steps", "1",
+                            "--data", dataset],
+                 "gen-data": ["--n", "2", "--size", "16"],
+                 "train": [*TOY_FLAGS, "--epochs", "0", "--data", dataset]}[command]
+        code = main([command, *extra, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+
+
+_MANIFEST_EDITS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete", "repeat"]),
+                                     st.integers(0, 200), st.binary(min_size=1, max_size=6)),
+                           min_size=1, max_size=4)
+
+
+class TestManifestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(edits=_MANIFEST_EDITS)
+    @example(edits=[("insert", 0, b"\xff\xfe")])
+    @example(edits=[("repeat", 0, b"\n")])
+    @example(edits=[("insert", 0, b"9" * 300)])
+    def test_fuzzed_manifest_exits_with_a_documented_code(self, tmp_path_factory,
+                                                          dataset, edits):
+        """Byte edits of a valid manifest make ``eval`` exit 0, 3 or 65, with
+        no traceback: ``set`` overwrites bytes at an offset, ``insert`` adds
+        them, ``delete`` drops as many, ``repeat`` appends the line there."""
+        data = tmp_path_factory.getbasetemp() / "fuzzed-manifest"
+        if not data.exists():
+            shutil.copytree(dataset, data)
+        blob = bytearray(open(os.path.join(dataset, "manifest.txt"), "rb").read())
+        for op, at, chunk in edits:
+            at = min(at, len(blob))
+            if op == "set":
+                blob[at:at + len(chunk)] = chunk
+            elif op == "insert":
+                blob[at:at] = chunk
+            elif op == "delete":
+                del blob[at:at + len(chunk)]
+            else:
+                start = blob.rfind(b"\n", 0, at) + 1
+                end = blob.find(b"\n", at)
+                blob += blob[start:len(blob) if end < 0 else end + 1]
+        (data / "manifest.txt").write_bytes(bytes(blob))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", *TOY_FLAGS, "--data", str(data)])
+        assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_DATA), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestAblate:

@@ -219,6 +219,22 @@ class TestNetpbm:
         assert np.abs(back.depth - s.depth).max() <= 0.5 / 65535 + 1e-6
         np.testing.assert_array_equal(back.label, s.label)
 
+    def test_sixteen_bit_rgb_scaled_by_its_maxval(self, tmp_path):
+        s = generate_sample(SceneSpec(), 0, 8, 8)
+        write_sample(str(tmp_path), 0, s)
+        rgb16 = np.rint(s.rgb * 65535.0).transpose(1, 2, 0)
+        _write_pnm(str(tmp_path / "000000_rgb.ppm"), "P6", rgb16, 65535)
+        back = read_sample(str(tmp_path), 0)
+        assert back.rgb.dtype == np.float32
+        assert np.abs(back.rgb - s.rgb).max() <= 1 / 65535
+
+    def test_eight_bit_rgb_keeps_its_bits(self, tmp_path):
+        s = generate_sample(SceneSpec(), 0, 8, 8)
+        write_sample(str(tmp_path), 0, s)
+        raw, _ = _read_pnm(str(tmp_path / "000000_rgb.ppm"), "P6")
+        expected = (raw.astype(np.float32) / 255.0).transpose(2, 0, 1)
+        assert read_sample(str(tmp_path), 0).rgb.tobytes() == expected.tobytes()
+
     def test_dataset_round_trip(self, tmp_path):
         samples = generate_dataset(SceneSpec(), 8, 16, 16)
         write_dataset(str(tmp_path), samples, num_classes=4)
@@ -236,14 +252,17 @@ class TestManifest:
         return tmp_path
 
     @pytest.mark.parametrize("line, message", [
-        ("garbage", "expected 'index split height width num_classes'"),
-        ("0 train 16 x 4", "expected 'index split height width num_classes'"),
-        ("0 test 16 16 4", "split 'test' is not train or val"),
-        ("0 train 16 16 5", "5 classes, earlier lines say 4"),
-    ], ids=["garbage", "non_integer", "bad_split", "class_count_disagrees"])
+        (b"garbage", "expected 'index split height width num_classes'"),
+        (b"0 train 16 x 4", "expected 'index split height width num_classes'"),
+        (b"0 test 16 16 4", "split 'test' is not train or val"),
+        (b"0 train 16 16 5", "5 classes, earlier lines say 4"),
+        (b"\xff\xfe0 train 16 16 4", "num_classes' in UTF-8, got b'"),
+        (b"2 train 16 16 4", "sample 2 is listed twice"),
+    ], ids=["garbage", "non_integer", "bad_split", "class_count_disagrees", "not_utf8",
+            "index_listed_twice"])
     def test_bad_line_rejected_with_its_line_number(self, dataset, line, message):
-        with open(dataset / "manifest.txt", "a") as fh:
-            fh.write(line + "\n")
+        with open(dataset / "manifest.txt", "ab") as fh:
+            fh.write(line + b"\n")
         with pytest.raises(DataError, match=message) as err:
             load_dataset(str(dataset))
         assert "manifest.txt:5" in str(err.value)
