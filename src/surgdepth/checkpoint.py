@@ -13,7 +13,8 @@ import os
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .data import _open_input
+from .errors import FormatError
 
 MAGIC = b"SRGD0001\n"
 
@@ -79,14 +80,6 @@ def _read_manifest(fh, path):
     return entries, base
 
 
-def _open(path):
-    """``path`` opened for binary reading; DataError if there is no such file."""
-    try:
-        return open(path, "rb")
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
-
-
 def _read_buffer(fh, path, base, name, off, arr):
     """Fill the C-contiguous float32 ``arr`` from payload offset ``off``."""
     fh.seek(base + off)
@@ -101,14 +94,15 @@ def load_checkpoint(path):
     Each parameter is read straight into its own array, so the payload
     is copied once, however large the model.
     """
-    with _open(path) as fh:
+    with _open_input(path) as fh:
         entries, base = _read_manifest(fh, path)
         return {name: _read_buffer(fh, path, base, name, off, np.empty(shape, "<f4"))
                 for name, shape, off in entries}
 
 
 def save_model(path, model):
-    save_checkpoint(path, model.state_dict())
+    """Write ``model``'s parameters from their own arrays, no state dict."""
+    save_checkpoint(path, {name: p.data for name, p in model.named_parameters()})
 
 
 def load_model(path, model):
@@ -116,24 +110,20 @@ def load_model(path, model):
 
     The whole manifest is checked against the file and the model before
     any parameter is written (FormatError, ConfigError). Float32
-    parameters are read in place; other dtypes go through one staging
-    buffer. No state dict is built, and the model's deferred init never
-    runs.
+    parameters are read in place; any other dtype is read into a fresh
+    float32 array and cast. No state dict is built, and the model's
+    deferred init never runs.
     """
-    with _open(path) as fh:
+    with _open_input(path) as fh:
         entries, base = _read_manifest(fh, path)
         offsets = {name: off for name, _, off in entries}
-        staging = np.empty(0, "<f4")
 
         def write(name, dst):
-            nonlocal staging
-            if dst.dtype == staging.dtype and dst.flags.c_contiguous:
+            if dst.dtype == "<f4" and dst.flags.c_contiguous:
                 _read_buffer(fh, path, base, name, offsets[name], dst)
-                return
-            if staging.size < dst.size:
-                staging = np.empty(dst.size, "<f4")
-            buf = staging[:dst.size].reshape(dst.shape)
-            dst[...] = _read_buffer(fh, path, base, name, offsets[name], buf)
+            else:
+                dst[...] = _read_buffer(fh, path, base, name, offsets[name],
+                                        np.empty(dst.shape, "<f4"))
 
         model.load_parameters({name: shape for name, shape, _ in entries}, write)
     return model

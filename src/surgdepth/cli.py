@@ -133,17 +133,17 @@ def cmd_train(args):
     check_max_steps(args.max_steps)   # before --out is created
     train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
-    with _writing(args.out):
-        os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "best.ckpt")
     metrics = os.path.join(args.out, "metrics.jsonl")
-    if cfg.epochs == 0 or args.max_steps == 0:
-        save_model(ckpt, model)
-        print("no training steps requested; wrote initial checkpoint")
-        return EXIT_OK
-    result = train(model, train_s, val_s, cfg, max_steps=args.max_steps,
-                   use_augment=not args.no_augment, metrics_path=metrics,
-                   ckpt_path=ckpt, log=print if args.verbose else None)
+    with _writing(args.out):   # train() reads no file: an OSError is a write
+        os.makedirs(args.out, exist_ok=True)
+        if cfg.epochs == 0 or args.max_steps == 0:
+            save_model(ckpt, model)
+            print("no training steps requested; wrote initial checkpoint")
+            return EXIT_OK
+        result = train(model, train_s, val_s, cfg, max_steps=args.max_steps,
+                       use_augment=not args.no_augment, metrics_path=metrics,
+                       ckpt_path=ckpt, log=print if args.verbose else None)
     print(f"{result.steps} steps, best val mIoU {result.best_val_miou:.4f}, "
           f"{result.wall_seconds:.1f}s")
     return EXIT_OK
@@ -154,10 +154,12 @@ def cmd_eval(args):
     if args.out:
         _check_out_file(args.out)
     train_s, val_s = _load_dataset_for(cfg, args.data)
+    samples = train_s if args.split == "train" else val_s
+    if not samples:
+        raise DataError(f"{args.data}: the {args.split} split has no samples")
     model = build_model(cfg)
     if args.ckpt:
         load_model(args.ckpt, model)
-    samples = train_s if args.split == "train" else val_s
     report = evaluate(model, samples)
     for c, iou in report.per_class_iou:
         print(f"class {c}: IoU {'undefined' if iou is None else f'{iou:.4f}'}")

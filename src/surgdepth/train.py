@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_checkpoint as save_model  # the name perfbench traces
+from .checkpoint import save_model
 from .data import augment
 from .errors import DataError, NumericError, UsageError
 from .losses import cross_entropy_loss
@@ -33,6 +33,8 @@ class TrainResult:
 
 
 def evaluate(model, samples, baseline_rgb_only=False):
+    if not samples:
+        raise DataError("empty evaluation set")
     acc = ConfusionAccumulator(model.cfg.num_classes)
     with T.no_grad():
         for s in samples:
@@ -64,8 +66,10 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
           ckpt_path=None, log=None):
     """Seeded minibatch training; returns a TrainResult.
 
-    Best checkpoint (by validation mIoU) is written to ckpt_path when
-    given; metrics stream to metrics_path as line-delimited JSON.
+    When ckpt_path is given, the checkpoint is written there each time an
+    epoch's validation mIoU is the best so far (ties go to the later
+    epoch), so it holds the best epoch's weights even if a later epoch
+    aborts; metrics stream to metrics_path as line-delimited JSON.
     ``max_steps`` caps the optimizer steps; at 0 nothing is trained or
     evaluated. Each sample's loss is backpropagated as soon as it is
     known, scaled by 1/batch, and its autodiff graph (logits, loss, saved
@@ -83,7 +87,6 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
     result = TrainResult()
     t0 = time.monotonic()
     metrics_fh = open(metrics_path, "w") if metrics_path else None
-    best_state = None
 
     def train_step(batch):
         """Forward and backward each sample of one batch in turn, then
@@ -138,13 +141,12 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                      "per_class": [i for _, i in report.per_class_iou]}) + "\n")
             if log:
                 log(f"epoch {epoch} val mIoU {report.mean_iou:.4f}")
-            if report.mean_iou >= result.best_val_miou or best_state is None:
+            if report.mean_iou >= result.best_val_miou:
                 result.best_val_miou = report.mean_iou
-                best_state = model.state_dict()
+                if ckpt_path:
+                    save_model(ckpt_path, model)
         result.steps = step
         result.wall_seconds = time.monotonic() - t0
-        if ckpt_path and best_state is not None:
-            save_model(ckpt_path, best_state)
         return result
     finally:
         if metrics_fh:

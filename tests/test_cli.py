@@ -33,7 +33,8 @@ def dataset(tmp_path_factory):
 
 
 def _sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestUsage:
@@ -246,7 +247,7 @@ class TestTrainEval:
         code = main(["eval", *TOY_FLAGS, "--data", dataset, "--split", "train",
                      "--out", str(out)])
         assert code == EXIT_OK
-        miou = json.load(open(out))["miou"]
+        miou = json.loads(out.read_text())["miou"]
         # untrained predictions hover near the 1/K chance level
         assert 0.0 <= miou <= 3.0 / 4
 
@@ -341,6 +342,21 @@ class TestTrainEval:
         assert code == EXIT_DATA
         assert f"{missing}: no such file" in capsys.readouterr().err
 
+    def test_checkpoint_path_that_is_a_directory_exits_65(self, tmp_path, dataset, capsys):
+        code = main(["eval", *TOY_FLAGS, "--data", dataset, "--ckpt", str(tmp_path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{tmp_path}: Is a directory" in err and "Traceback" not in err
+
+    def test_empty_evaluation_split_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "1", "--size", "16", "--out", str(data)])
+        code = main(["eval", *TOY_FLAGS, "--data", str(data), "--split", "val"])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "the val split has no samples" in captured.err
+        assert "Traceback" not in captured.err and "mean IoU" not in captured.out
+
     def test_missing_manifest_exits_65(self, tmp_path, capsys):
         code = main(["eval", *TOY_FLAGS, "--data", str(tmp_path)])
         assert code == EXIT_DATA
@@ -373,6 +389,21 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("blocked, steps", [("best.ckpt", ["--max-steps", "1"]),
+                                                ("metrics.jsonl", ["--max-steps", "1"]),
+                                                ("best.ckpt", ["--max-steps", "0"])],
+                             ids=["checkpoint", "metrics", "checkpoint-zero-steps"])
+    def test_unwritable_train_output_is_usage_error(self, tmp_path, dataset, capsys,
+                                                    blocked, steps):
+        """A directory where train writes best.ckpt or metrics.jsonl exits 64."""
+        run = tmp_path / "run"
+        (run / blocked).mkdir(parents=True)
+        code = main(["train", *TOY_FLAGS, "--epochs", "1", *steps, "--data", dataset,
+                     "--out", str(run)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(run) in err and "Traceback" not in err
+
 
 _MANIFEST_EDITS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete", "repeat"]),
                                      st.integers(0, 200), st.binary(min_size=1, max_size=6)),
@@ -393,7 +424,8 @@ class TestManifestFuzz:
         data = tmp_path_factory.getbasetemp() / "fuzzed-manifest"
         if not data.exists():
             shutil.copytree(dataset, data)
-        blob = bytearray(open(os.path.join(dataset, "manifest.txt"), "rb").read())
+        with open(os.path.join(dataset, "manifest.txt"), "rb") as fh:
+            blob = bytearray(fh.read())
         for op, at, chunk in edits:
             at = min(at, len(blob))
             if op == "set":

@@ -23,3 +23,9 @@ def test_tracer_installs_and_restores_every_name(spans):
         assert all(getattr(owner, attr) is not fn
                    for (owner, attr), fn in zip(targets, before))
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(targets, before))
+
+
+def test_train_save_model_is_the_checkpoint_writer():
+    """The traced ``train.save_model`` is the real writer, not an alias."""
+    from surgdepth import checkpoint, train
+    assert train.save_model is checkpoint.save_model

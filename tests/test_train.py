@@ -10,8 +10,9 @@ from surgdepth import tensor as T
 from surgdepth import train as train_mod
 from surgdepth.checkpoint import load_checkpoint
 from surgdepth.data import SceneSpec, augment, generate_dataset
-from surgdepth.errors import NumericError, UsageError
+from surgdepth.errors import DataError, NumericError, UsageError
 from surgdepth.losses import cross_entropy_loss
+from surgdepth.metrics import MetricsReport
 from surgdepth.model import Model, ModelConfig, build_model, param_count
 from surgdepth.optim import AdamW
 from surgdepth.rng import make_rng
@@ -224,6 +225,38 @@ def test_best_checkpoint_written(tmp_path):
     assert set(state) == set(dict(model.named_parameters()))
 
 
+def test_checkpoint_written_when_an_epoch_becomes_best(tmp_path, monkeypatch):
+    """Scripted mIoU 0.5, 0.7, 0.7, then an abort in epoch 3: the file
+    holds epoch 2's weights, since a tie goes to the later epoch and each
+    best epoch is written when it is scored."""
+    mious = iter([0.5, 0.7, 0.7])
+
+    def scripted(model, samples, baseline_rgb_only=False):
+        miou = next(mious, None)
+        if miou is None:
+            raise NumericError("scripted abort")
+        return MetricsReport(mean_iou=miou)
+
+    weights = []
+
+    def log(message):
+        if message.startswith("epoch"):
+            weights.append({n: p.data.copy() for n, p in model.named_parameters()})
+
+    monkeypatch.setattr(train_mod, "evaluate", scripted)
+    cfg = _toy_cfg(epochs=5)
+    model = build_model(cfg)
+    path = tmp_path / "best.ckpt"
+    with pytest.raises(NumericError, match="scripted abort"):
+        train(model, _samples(), None, cfg, use_augment=False, ckpt_path=str(path),
+              log=log)
+    assert len(weights) == 3
+    state = load_checkpoint(path)
+    for name, arr in weights[2].items():
+        assert state[name].tobytes() == arr.tobytes(), name
+    assert any(weights[1][n].tobytes() != a.tobytes() for n, a in weights[2].items())
+
+
 def test_max_steps_respected():
     cfg = _toy_cfg(epochs=1000)
     model = build_model(cfg)
@@ -251,6 +284,11 @@ def test_cap_evaluates_each_epoch_it_stepped_in_once(max_steps, epochs):
                    max_steps=max_steps, use_augment=False)
     assert result.steps == max_steps
     assert [e for e, _ in result.val_history] == epochs
+
+
+def test_evaluate_rejects_an_empty_sample_list():
+    with pytest.raises(DataError, match="empty evaluation set"):
+        evaluate(build_model(_toy_cfg()), [])
 
 
 def test_evaluate_returns_bounded_miou():
