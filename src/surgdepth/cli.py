@@ -5,12 +5,11 @@ Config precedence: built-in defaults < config file (key=value lines,
 # comments) < command-line flags.
 
 Exit codes: 0 success, 1 verification failure, 2 numeric abort,
-3 config/checkpoint mismatch, 64 usage error, 65 bad input data
-(FormatError or DataError from a checkpoint or dataset).
+3 config/checkpoint mismatch, 64 usage error or refused output, 65 bad
+input data (FormatError or DataError from a checkpoint or dataset).
 """
 
 import argparse
-import contextlib
 import csv
 import json
 import os
@@ -91,15 +90,6 @@ def make_model_config(args):
     return ModelConfig(**{k: _coerce(k, v) for k, v in overrides.items()}).validate()
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Turn an OSError raised inside into a UsageError naming ``path``."""
-    try:
-        yield
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def _check_out_file(path):
     """Before any work: UsageError unless ``path`` is a file name in an
     existing directory."""
@@ -111,9 +101,8 @@ def cmd_gen_data(args):
     spec = SceneSpec(num_classes=args.classes, depth_coupling=args.depth_coupling,
                      seed=args.seed)
     samples = generate_dataset(spec, args.n, args.size, args.size)
-    with _writing(args.out):
-        write_dataset(args.out, samples, args.classes, val_fraction=args.val_fraction,
-                      seed=args.seed)
+    write_dataset(args.out, samples, args.classes, val_fraction=args.val_fraction,
+                  seed=args.seed)
     frac = rgb_ambiguous_fraction(samples)
     print(f"wrote {len(samples)} samples to {args.out}")
     print(f"rgb-ambiguous pixel fraction: {frac:.3f}")
@@ -131,19 +120,21 @@ def _load_dataset_for(cfg, directory):
 def cmd_train(args):
     cfg = make_model_config(args)
     check_max_steps(args.max_steps)   # before --out is created
-    train_s, val_s = _load_dataset_for(cfg, args.data)
-    model = build_model(cfg)
     ckpt = os.path.join(args.out, "best.ckpt")
     metrics = os.path.join(args.out, "metrics.jsonl")
-    with _writing(args.out):   # train() reads no file: an OSError is a write
-        os.makedirs(args.out, exist_ok=True)
-        if cfg.epochs == 0 or args.max_steps == 0:
-            save_model(ckpt, model)
-            print("no training steps requested; wrote initial checkpoint")
-            return EXIT_OK
-        result = train(model, train_s, val_s, cfg, max_steps=args.max_steps,
-                       use_augment=not args.no_augment, metrics_path=metrics,
-                       ckpt_path=ckpt, log=print if args.verbose else None)
+    if os.path.exists(args.out):
+        for path in (ckpt, metrics):
+            _check_out_file(path)
+    train_s, val_s = _load_dataset_for(cfg, args.data)
+    model = build_model(cfg)
+    os.makedirs(args.out, exist_ok=True)
+    if cfg.epochs == 0 or args.max_steps == 0:
+        save_model(ckpt, model)
+        print("no training steps requested; wrote initial checkpoint")
+        return EXIT_OK
+    result = train(model, train_s, val_s, cfg, max_steps=args.max_steps,
+                   use_augment=not args.no_augment, metrics_path=metrics,
+                   ckpt_path=ckpt, log=print if args.verbose else None)
     print(f"{result.steps} steps, best val mIoU {result.best_val_miou:.4f}, "
           f"{result.wall_seconds:.1f}s")
     return EXIT_OK
@@ -283,9 +274,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -299,6 +289,12 @@ def main(argv=None):
     except (FormatError, DataError) as exc:
         print(f"bad input file: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except OSError as exc:
+        # Inputs open through data._open_input or read_config_file, so an
+        # OSError here is a write; one naming no file is a write() to --out.
+        path = exc.filename2 or exc.filename or getattr(args, "out", None)
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

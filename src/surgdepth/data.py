@@ -9,6 +9,7 @@ regions use one distinct color per class.
 """
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +275,10 @@ def _open_input(path):
         raise DataError(f"{path}: {exc.strerror}") from None
 
 
+# Whitespace and "#" comments to the end of their line, then a token.
+_PNM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+
+
 def _read_pnm(path, expect_magic):
     with _open_input(path) as fh:
         blob = fh.read()
@@ -281,20 +286,11 @@ def _read_pnm(path, expect_magic):
 
     def token():
         nonlocal pos
-        while pos < len(blob):
-            if blob[pos:pos + 1].isspace():
-                pos += 1
-            elif blob[pos:pos + 1] == b"#":
-                while pos < len(blob) and blob[pos] != 0x0A:
-                    pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(blob) and not blob[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise FormatError(f"{path}: truncated header", offset=start)
-        return blob[start:pos]
+        m = _PNM_TOKEN.match(blob, pos)
+        pos = m.end()
+        if not m.group(1):
+            raise FormatError(f"{path}: truncated header", offset=pos)
+        return m.group(1)
 
     magic = token()
     if magic != expect_magic.encode("ascii"):
@@ -311,7 +307,7 @@ def _read_pnm(path, expect_magic):
     channels = 3 if expect_magic == "P6" else 1
     itemsize = 2 if maxval > 255 else 1
     need = w * h * channels * itemsize
-    raster = blob[pos:pos + need]
+    raster = memoryview(blob)[pos:pos + need]
     if len(raster) != need:
         raise FormatError(f"{path}: raster is {len(raster)} bytes, need {need}", offset=pos)
     dtype = ">u2" if maxval > 255 else np.uint8
@@ -346,8 +342,8 @@ def read_sample(directory, index):
         raise DataError(f"sample {index}: raster sizes disagree "
                         f"({rgb.shape[:2]}, {depth.shape}, {label.shape})")
     return RgbdSample(
-        rgb=(rgb.astype(np.float32) / rmax).transpose(2, 0, 1),
-        depth=(depth.astype(np.float32) / dmax)[None],
+        rgb=np.divide(rgb, rmax, dtype=np.float32).transpose(2, 0, 1),
+        depth=np.divide(depth, dmax, dtype=np.float32)[None],
         label=label.astype(np.int32),
     )
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from surgdepth import tensor as T
 from surgdepth.checkpoint import load_checkpoint
 from surgdepth.cli import (EXIT_DATA, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
-                           EXIT_VERIFY_FAIL, main, make_model_config, read_config_file)
+                           EXIT_VERIFY_FAIL, build_parser, main, make_model_config,
+                           read_config_file)
 from surgdepth.errors import ConfigError, UsageError
 from surgdepth.model import ModelConfig, build_model
 
@@ -30,6 +32,28 @@ def dataset(tmp_path_factory):
     code = main(["gen-data", "--n", "4", "--size", "16", "--out", str(d)])
     assert code == EXIT_OK
     return str(d)
+
+
+def _commands_with_out():
+    """Every subcommand that takes --out, read from the parser itself."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted(name for name, p in sub.choices.items()
+                  if any("--out" in a.option_strings for a in p._actions))
+
+
+OUT_COMMANDS = _commands_with_out()
+
+
+def _out_command(command, dataset, out):
+    """argv running ``command`` briefly on ``dataset`` with ``--out out``."""
+    extra = {"eval": [*TOY_FLAGS, "--data", dataset],
+             "ablate": [*TOY_FLAGS, "--study", "decoder-depth", "--epochs", "1",
+                        "--max-steps", "1", "--data", dataset],
+             "gen-data": ["--n", "2", "--size", "16"],
+             "train": [*TOY_FLAGS, "--epochs", "1", "--max-steps", "1",
+                       "--data", dataset]}[command]
+    return [command, *extra, "--out", str(out)]
 
 
 def _sha(path):
@@ -370,7 +394,7 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert f"{data}/manifest.txt: Not a directory" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["eval", "ablate", "gen-data", "train"])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
     def test_unwritable_out_is_usage_error(self, tmp_path, dataset, capsys, command):
         """--out in a missing directory (eval, ablate) or under a regular
         file (gen-data, train) exits 64 naming the path."""
@@ -379,30 +403,62 @@ class TestTrainEval:
         out = {"eval": tmp_path / "missing" / "eval.json",
                "ablate": tmp_path / "missing" / "t.csv",
                "gen-data": blocker / "data", "train": blocker / "run"}[command]
-        extra = {"eval": [*TOY_FLAGS, "--data", dataset],
-                 "ablate": [*TOY_FLAGS, "--study", "decoder-depth", "--max-steps", "1",
-                            "--data", dataset],
-                 "gen-data": ["--n", "2", "--size", "16"],
-                 "train": [*TOY_FLAGS, "--epochs", "0", "--data", dataset]}[command]
-        code = main([command, *extra, "--out", str(out)])
+        code = main(_out_command(command, dataset, out))
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["a-directory", "name-too-long"])
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_refused_output_exits_64_naming_the_file(self, tmp_path, dataset, capsys,
+                                                     command, case):
+        """An output the OS refuses exits 64 with no traceback and names the
+        refused file: a directory where a file is written, or a name longer
+        than the file system allows (--out under a regular file: above)."""
+        out = refused = tmp_path / ("x" * 300)
+        if case == "a-directory":   # --out itself for a file output
+            out = tmp_path / "out"
+            refused = out / {"gen-data": "manifest.txt", "train": "best.ckpt"}.get(command, "")
+            refused.mkdir(parents=True)
+        code = main(_out_command(command, dataset, out))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert f"cannot write {refused}" in err
+        assert "Traceback" not in err
+
+    def test_write_error_without_a_file_name_names_out(self, tmp_path, dataset, capsys,
+                                                       monkeypatch):
+        """An OSError that names no file (a failed write()) names --out."""
+        def full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("surgdepth.cli.json.dump", full)
+        out = tmp_path / "eval.json"
+        code = main(["eval", *TOY_FLAGS, "--data", dataset, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: {os.strerror(errno.ENOSPC)}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("blocked, steps", [("best.ckpt", ["--max-steps", "1"]),
                                                 ("metrics.jsonl", ["--max-steps", "1"]),
                                                 ("best.ckpt", ["--max-steps", "0"])],
                              ids=["checkpoint", "metrics", "checkpoint-zero-steps"])
     def test_unwritable_train_output_is_usage_error(self, tmp_path, dataset, capsys,
-                                                    blocked, steps):
-        """A directory where train writes best.ckpt or metrics.jsonl exits 64."""
+                                                    monkeypatch, blocked, steps):
+        """A directory where train writes best.ckpt or metrics.jsonl exits 64
+        naming that file, before any training."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran with a blocked output")
+
+        monkeypatch.setattr("surgdepth.cli.train", no_training)
         run = tmp_path / "run"
         (run / blocked).mkdir(parents=True)
         code = main(["train", *TOY_FLAGS, "--epochs", "1", *steps, "--data", dataset,
                      "--out", str(run)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert str(run) in err and "Traceback" not in err
+        assert f"cannot write {run / blocked}" in err and "Traceback" not in err
 
 
 _MANIFEST_EDITS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete", "repeat"]),

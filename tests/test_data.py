@@ -146,6 +146,61 @@ class TestAugment:
             assert gaussian_blur(img, sigma).tobytes() == want.tobytes(), (h, w, sigma)
 
 
+def _reference_read_pnm(path, expect_magic):
+    """The Netpbm reader as it was when its header was walked one byte at a
+    time; the reference for the compiled-pattern reader."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    pos = 0
+
+    def token():
+        nonlocal pos
+        while pos < len(blob):
+            if blob[pos:pos + 1].isspace():
+                pos += 1
+            elif blob[pos:pos + 1] == b"#":
+                while pos < len(blob) and blob[pos] != 0x0A:
+                    pos += 1
+            else:
+                break
+        start = pos
+        while pos < len(blob) and not blob[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise FormatError(f"{path}: truncated header", offset=start)
+        return blob[start:pos]
+
+    magic = token()
+    if magic != expect_magic.encode("ascii"):
+        raise FormatError(f"{path}: expected {expect_magic}, got {magic!r}", offset=0)
+    try:
+        w, h, maxval = int(token()), int(token()), int(token())
+    except ValueError:
+        raise FormatError(f"{path}: malformed header integer", offset=pos) from None
+    if not 1 <= maxval <= 65535:
+        raise FormatError(f"{path}: maxval {maxval} outside 1..65535", offset=pos)
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: raster size {w}x{h} has a side below 1", offset=pos)
+    pos += 1
+    channels = 3 if expect_magic == "P6" else 1
+    need = w * h * channels * (2 if maxval > 255 else 1)
+    raster = blob[pos:pos + need]
+    if len(raster) != need:
+        raise FormatError(f"{path}: raster is {len(raster)} bytes, need {need}", offset=pos)
+    arr = np.frombuffer(raster, dtype=">u2" if maxval > 255 else np.uint8)
+    return arr.reshape((h, w, 3) if channels == 3 else (h, w)), maxval
+
+
+def _outcome(read, path, expect):
+    """What one reader makes of a file: (array bytes, dtype, shape, strides,
+    maxval), or (exception type, message, offset)."""
+    try:
+        arr, maxval = read(path, expect)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return arr.tobytes(), arr.dtype, arr.shape, arr.strides, maxval
+
+
 class TestNetpbm:
     def test_hand_encoded_p6_fixture(self, tmp_path):
         """A 2x1 PPM written byte-by-byte reads back to the expected pixels."""
@@ -210,6 +265,39 @@ class TestNetpbm:
             except (FormatError, DataError):
                 continue
             assert arr.size > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                                    st.integers(0, 40),
+                                    st.binary(min_size=1, max_size=4) | st.lists(
+                                        st.sampled_from(b" \t\n\r\x0b\x0c#0123456789P5-+_x"),
+                                        min_size=1, max_size=4).map(bytes)),
+                          max_size=4),
+           header=st.sampled_from([b"P5\n2 3\n255\n", b"P6 # a comment\n2\t3\n# 9\n65535\r",
+                                   b"P5\n#\n#\n2 3 255 ", b"P6\n2 3\n1\n"]))
+    @example(edits=[("set", 1, b"#")], header=b"P5\n2 3\n255\n")
+    @example(edits=[("delete", 10, b"\x00" * 4)], header=b"P5\n2 3\n255\n")
+    def test_header_tokens_match_the_byte_by_byte_reader(self, tmp_path_factory,
+                                                         edits, header):
+        """Byte edits of a header read, as P5 and as P6, to the same array,
+        maxval, or exception type, message and offset as the reader that
+        walked the header one byte at a time."""
+        blob = bytearray(header + bytes(range(48)) * 2)
+        for op, at, chunk in edits:
+            at = min(at, len(blob))
+            if op == "set":
+                blob[at:at + len(chunk)] = chunk
+            elif op == "insert":
+                blob[at:at] = chunk
+            else:
+                del blob[at:at + len(chunk)]
+        path = str(tmp_path_factory.getbasetemp() / "edited.pnm")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        for expect in ("P5", "P6"):
+            got, want = _outcome(_read_pnm, path, expect), _outcome(_reference_read_pnm,
+                                                                    path, expect)
+            assert got == want, (bytes(blob), expect)
 
     def test_sample_round_trip_within_quantization(self, tmp_path):
         s = generate_sample(SceneSpec(), 0, 16, 16)
