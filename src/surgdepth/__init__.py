@@ -3,12 +3,13 @@ cross-attention fusion block, a ViT encoder over concatenated modality
 tokens, and a shallow ConvNeXt decoder, built on a minimal reverse-mode
 autodiff tensor core."""
 
-from .fusion import FusionBlock, TokenGrid, attention_oracle
+from .fusion import FusionBlock, TokenGrid
 from .gradcheck import grad_check
 from .losses import cross_entropy_loss
 from .metrics import ConfusionAccumulator, MetricsReport, mean_iou
 from .model import Model, ModelConfig, build_model, full_vitb_config, param_count
 from .optim import AdamW
+from .oracles import attention_oracle
 from .tensor import Tensor, backward
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .data import _open_input
+from .data import _open_input, _open_output
 from .errors import FormatError
 
 MAGIC = b"SRGD0001\n"
@@ -21,25 +21,19 @@ MAGIC = b"SRGD0001\n"
 
 def save_checkpoint(path, state):
     """state: ordered dict name -> ndarray, streamed one buffer at a time
-    into a temporary file that then replaces ``path``, so a failed save
-    leaves the previous file intact and no temporary file behind."""
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            offset = 0
-            for name, arr in state.items():
-                shape = np.shape(arr)
-                dims = ",".join(str(d) for d in shape) or "1"
-                fh.write(f"{name} {dims} {offset}\n".encode("ascii"))
-                offset += 4 * math.prod(shape)
-            fh.write(b"\n")
-            for arr in state.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # the buffer, not a copy
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    through ``data._open_output``, so a failed save leaves the previous
+    file intact and no temporary file behind."""
+    with _open_output(path) as fh:
+        fh.write(MAGIC)
+        offset = 0
+        for name, arr in state.items():
+            shape = np.shape(arr)
+            dims = ",".join(str(d) for d in shape) or "1"
+            fh.write(f"{name} {dims} {offset}\n".encode("ascii"))
+            offset += 4 * math.prod(shape)
+        fh.write(b"\n")
+        for arr in state.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # the buffer, not a copy
 
 
 def _read_manifest(fh, path):

@@ -10,6 +10,7 @@ input data (FormatError or DataError from a checkpoint or dataset).
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -17,8 +18,8 @@ import sys
 from dataclasses import fields
 
 from .checkpoint import load_model, save_model
-from .data import (SceneSpec, generate_dataset, load_dataset,
-                   rgb_ambiguous_fraction, write_dataset)
+from .data import (SceneSpec, _check_out_file, _open_output, generate_dataset,
+                   load_dataset, rgb_ambiguous_fraction, write_dataset)
 from .errors import ConfigError, DataError, FormatError, NumericError, UsageError
 from .model import ModelConfig, build_model, full_vitb_config, param_count
 from .train import (REFERENCE_NOTE, ablate_decoder_depth, ablate_decoder_input,
@@ -90,13 +91,6 @@ def make_model_config(args):
     return ModelConfig(**{k: _coerce(k, v) for k, v in overrides.items()}).validate()
 
 
-def _check_out_file(path):
-    """Before any work: UsageError unless ``path`` is a file name in an
-    existing directory."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-        raise UsageError(f"cannot write {path}: not a file in an existing directory")
-
-
 def cmd_gen_data(args):
     spec = SceneSpec(num_classes=args.classes, depth_coupling=args.depth_coupling,
                      seed=args.seed)
@@ -125,9 +119,9 @@ def cmd_train(args):
     if os.path.exists(args.out):
         for path in (ckpt, metrics):
             _check_out_file(path)
-    train_s, val_s = _load_dataset_for(cfg, args.data)
-    model = build_model(cfg)
+    train_s, val_s = _load_dataset_for(cfg, args.data)   # a bad dataset leaves no --out
     os.makedirs(args.out, exist_ok=True)
+    model = build_model(cfg)
     if cfg.epochs == 0 or args.max_steps == 0:
         save_model(ckpt, model)
         print("no training steps requested; wrote initial checkpoint")
@@ -142,42 +136,37 @@ def cmd_train(args):
 
 def cmd_eval(args):
     cfg = make_model_config(args)
-    if args.out:
-        _check_out_file(args.out)
-    train_s, val_s = _load_dataset_for(cfg, args.data)
-    samples = train_s if args.split == "train" else val_s
-    if not samples:
-        raise DataError(f"{args.data}: the {args.split} split has no samples")
-    model = build_model(cfg)
-    if args.ckpt:
-        load_model(args.ckpt, model)
-    report = evaluate(model, samples)
-    for c, iou in report.per_class_iou:
-        print(f"class {c}: IoU {'undefined' if iou is None else f'{iou:.4f}'}")
-    print(f"mean IoU: {report.mean_iou:.4f}")
-    print(f"pixel accuracy: {report.pixel_accuracy:.4f}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with _open_output(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        train_s, val_s = _load_dataset_for(cfg, args.data)
+        samples = train_s if args.split == "train" else val_s
+        if not samples:
+            raise DataError(f"{args.data}: the {args.split} split has no samples")
+        model = build_model(cfg)
+        if args.ckpt:
+            load_model(args.ckpt, model)
+        report = evaluate(model, samples)
+        for c, iou in report.per_class_iou:
+            print(f"class {c}: IoU {'undefined' if iou is None else f'{iou:.4f}'}")
+        print(f"mean IoU: {report.mean_iou:.4f}")
+        print(f"pixel accuracy: {report.pixel_accuracy:.4f}")
+        if out:
+            json.dump(report.to_dict(), out, indent=2, sort_keys=True)
+            out.write("\n")
     return EXIT_OK
 
 
 def cmd_ablate(args):
     cfg = make_model_config(args)
-    _check_out_file(args.out)
-    train_s, val_s = _load_dataset_for(cfg, args.data)
-    ablate, key = ((ablate_decoder_depth, "blocks") if args.study == "decoder-depth"
-                   else (ablate_decoder_input, "decoder_input"))
-    rows = ablate(cfg, train_s, val_s, max_steps=args.max_steps)
-    header = [key, "miou", "params", f"reference_iou {REFERENCE_NOTE}"]
-    data = [[r[key], f"{r['miou']:.4f}", r["params"], r["reference_iou"]]
-            for r in rows]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(data)
-    for row in [header] + data:
+    with _open_output(args.out, "w", newline="") as out:
+        train_s, val_s = _load_dataset_for(cfg, args.data)
+        ablate, key = ((ablate_decoder_depth, "blocks") if args.study == "decoder-depth"
+                       else (ablate_decoder_input, "decoder_input"))
+        rows = ablate(cfg, train_s, val_s, max_steps=args.max_steps)
+        table = [[key, "miou", "params", f"reference_iou {REFERENCE_NOTE}"]]
+        table += [[r[key], f"{r['miou']:.4f}", r["params"], r["reference_iou"]]
+                  for r in rows]
+        csv.writer(out).writerows(table)
+    for row in table:
         print(",".join(str(v) for v in row))
     return EXIT_OK
 

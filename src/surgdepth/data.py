@@ -8,13 +8,14 @@ layer, so an RGB-only model cannot separate those two classes. Uncoupled
 regions use one distinct color per class.
 """
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, UsageError
 from .losses import IGNORE_INDEX
 
 AMBIGUOUS_COLOR = (0.55, 0.55, 0.55)
@@ -260,7 +261,7 @@ def _write_pnm(path, magic, arr, maxval):
     h, w = arr.shape[0], arr.shape[1]
     header = f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii")
     raster = arr.astype(">u2" if maxval > 255 else np.uint8).tobytes()
-    with open(path, "wb") as fh:
+    with _open_output(path) as fh:
         fh.write(header)
         fh.write(raster)
 
@@ -273,6 +274,30 @@ def _open_input(path):
         raise DataError(f"{path}: no such file") from None
     except OSError as exc:   # a directory, not a directory, a name too long
         raise DataError(f"{path}: {exc.strerror}") from None
+
+
+def _check_out_file(path):
+    """UsageError unless ``path`` is a file name in an existing directory."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+
+
+@contextlib.contextmanager
+def _open_output(path, mode="wb", newline=None):
+    """Yield ``<path>.tmp`` open for writing; it replaces ``path`` when the
+    block completes and is removed on any failure, so ``path`` keeps its old
+    bytes. A directory or missing parent at ``path`` (UsageError) or a name
+    the OS refuses fails on entry, before the block does any work."""
+    _check_out_file(path)
+    tmp = os.fspath(path) + ".tmp"
+    fh = open(tmp, mode, newline=newline)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # Whitespace and "#" comments to the end of their line, then a token.
@@ -312,6 +337,9 @@ def _read_pnm(path, expect_magic):
         raise FormatError(f"{path}: raster is {len(raster)} bytes, need {need}", offset=pos)
     dtype = ">u2" if maxval > 255 else np.uint8
     arr = np.frombuffer(raster, dtype=dtype)
+    if maxval not in (255, 65535) and arr.max() > maxval:   # no sample exceeds those
+        raise FormatError(f"{path}: a sample exceeds maxval {maxval}",
+                          offset=pos + itemsize * int(np.argmax(arr > maxval)))
     if channels == 3:
         arr = arr.reshape(h, w, 3)
     else:
@@ -352,14 +380,12 @@ def write_dataset(directory, samples, num_classes, val_fraction=0.25, seed=0):
     _, val = split_dataset(list(range(len(samples))), val_fraction, seed)
     os.makedirs(directory, exist_ok=True)
     val_set = set(val)
-    lines = []
-    for i, s in enumerate(samples):
-        write_sample(directory, i, s)
-        split = "val" if i in val_set else "train"
-        h, w = s.label.shape
-        lines.append(f"{i} {split} {h} {w} {num_classes}\n")
-    with open(os.path.join(directory, "manifest.txt"), "w") as fh:
-        fh.writelines(lines)
+    with _open_output(os.path.join(directory, "manifest.txt"), "w") as manifest:
+        for i, s in enumerate(samples):
+            write_sample(directory, i, s)
+            split = "val" if i in val_set else "train"
+            h, w = s.label.shape
+            manifest.write(f"{i} {split} {h} {w} {num_classes}\n")
 
 
 def load_dataset(directory):

@@ -9,8 +9,6 @@ identity when the output projections are zero.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ShapeError
 from .nn import Linear, Module
@@ -90,20 +88,3 @@ class FusionBlock(Module):
         out_rgb = T.add(x_rgb.tokens, self.fc_out_rgb(ctx_tokens))
         out_depth = T.add(x_depth.tokens, self.fc_out_depth(ctx_tokens))
         return TokenGrid(h, w, out_rgb), TokenGrid(h, w, out_depth)
-
-
-def attention_oracle(q, k_mat, v, scale):
-    """Reference attention by explicit per-query loops in float64."""
-    q = np.asarray(q, dtype=np.float64)
-    k_mat = np.asarray(k_mat, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nq = q.shape[0]
-    out = np.zeros((nq, v.shape[1]), dtype=np.float64)
-    for i in range(nq):
-        logits = np.array([scale * float(q[i] @ k_mat[j]) for j in range(k_mat.shape[0])])
-        logits -= logits.max()
-        weights = np.exp(logits)
-        weights /= weights.sum()
-        for j in range(k_mat.shape[0]):
-            out[i] += weights[j] * v[j]
-    return out

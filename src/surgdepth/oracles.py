@@ -121,20 +121,23 @@ def gaussian_blur_oracle(img, sigma):
     return out
 
 
+def attention_oracle(q, k_mat, v, scale):
+    """Reference attention by explicit per-query loops in float64."""
+    q, k_mat, v = (np.asarray(a, dtype=np.float64) for a in (q, k_mat, v))
+    out = np.zeros((len(q), v.shape[1]))
+    for i, qi in enumerate(q):
+        weights = softmax_oracle([scale * float(qi @ k) for k in k_mat])
+        out[i] = sum(w * vj for w, vj in zip(weights, v))
+    return out
+
+
 def mhsa_oracle(x, wq, wk, wv, bq, bk, bv, w_proj, b_proj):
     """Single-head self-attention via composed loops."""
     x = np.asarray(x, dtype=np.float64)
     q = matmul_oracle(x, wq) + bq
     k = matmul_oracle(x, wk) + bk
     v = matmul_oracle(x, wv) + bv
-    scale = 1.0 / math.sqrt(q.shape[1])
-    n = x.shape[0]
-    ctx = np.zeros_like(v)
-    for i in range(n):
-        logits = np.array([scale * float(q[i] @ k[j]) for j in range(n)])
-        weights = softmax_oracle(logits)
-        for j in range(n):
-            ctx[i] += weights[j] * v[j]
+    ctx = attention_oracle(q, k, v, 1.0 / math.sqrt(q.shape[1]))
     return matmul_oracle(ctx, w_proj) + b_proj
 
 

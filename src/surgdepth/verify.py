@@ -14,12 +14,12 @@ from . import tensor as T
 from .data import RgbdSample, read_sample, write_sample
 from .decoder import ConvNeXtBlock, grid_to_tokens, tokens_to_grid
 from .encoder import MultiHeadSelfAttention, TransformerBlock
-from .fusion import FusionBlock, TokenGrid, attention_oracle
+from .fusion import FusionBlock, TokenGrid
 from .gradcheck import grad_check
 from .losses import cross_entropy_loss
 from .model import ModelConfig, build_model, full_vitb_config, param_count
-from .oracles import (adaptive_avg_pool2d_oracle, bilinear_resize_oracle,
-                      conv2d_oracle, matmul_oracle, mhsa_oracle)
+from .oracles import (adaptive_avg_pool2d_oracle, attention_oracle,
+                      bilinear_resize_oracle, conv2d_oracle, matmul_oracle, mhsa_oracle)
 from .rng import make_rng
 
 REPORTED_TOTAL_PARAMS = 98.37e6

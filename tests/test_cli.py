@@ -408,22 +408,84 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert str(out) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("case", ["a-directory", "name-too-long"])
+    @pytest.mark.parametrize("case", ["a-directory", "name-too-long", "under-a-file"])
     @pytest.mark.parametrize("command", OUT_COMMANDS)
     def test_refused_output_exits_64_naming_the_file(self, tmp_path, dataset, capsys,
-                                                     command, case):
-        """An output the OS refuses exits 64 with no traceback and names the
-        refused file: a directory where a file is written, or a name longer
-        than the file system allows (--out under a regular file: above)."""
+                                                     monkeypatch, command, case):
+        """An output the OS refuses exits 64 with no traceback, names the
+        refused file and is refused before any evaluation, training or
+        raster write: a directory where a file is written, a name longer
+        than the file system allows, or a name under a regular file."""
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} ran with a refused output")
+
+        for name in ("evaluate", "ablate_decoder_depth", "train"):
+            monkeypatch.setattr(f"surgdepth.cli.{name}", no_work)
         out = refused = tmp_path / ("x" * 300)
         if case == "a-directory":   # --out itself for a file output
             out = tmp_path / "out"
             refused = out / {"gen-data": "manifest.txt", "train": "best.ckpt"}.get(command, "")
             refused.mkdir(parents=True)
+        elif case == "under-a-file":
+            (tmp_path / "file").write_text("")
+            out = refused = tmp_path / "file" / "out"
         code = main(_out_command(command, dataset, out))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE, err
         assert f"cannot write {refused}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.p?m"))
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "gen-data"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, dataset, capsys,
+                                                  monkeypatch, command):
+        """An OSError(ENOSPC) partway through an output exits 64, and leaves
+        the previous file byte for byte and no temporary file."""
+        out = tmp_path / {"eval": "eval.json", "ablate": "t.csv", "gen-data": "data"}[command]
+        target = out / "manifest.txt" if command == "gen-data" else out
+        target.parent.mkdir(exist_ok=True)
+        target.write_bytes(b"previous\n")
+        real_open = open
+
+        class FullDisk:
+            """The target's temporary file: its second write() fails."""
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        def filling_open(path, *args, **kwargs):
+            fh = real_open(path, *args, **kwargs)
+            return FullDisk(fh) if path == f"{target}.tmp" else fh
+
+        monkeypatch.setattr("surgdepth.data.open", filling_open, raising=False)
+        monkeypatch.setattr("surgdepth.cli.ablate_decoder_depth", lambda *a, **k: [
+            {"blocks": b, "miou": 0.5, "params": 1, "reference_iou": 0.8} for b in (1, 2)])
+        code = main(_out_command(command, dataset, out))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE, err
+        assert os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+        assert target.read_bytes() == b"previous\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_eval_raster_above_its_maxval_exits_65(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["gen-data", "--n", "4", "--size", "16", "--out", str(data)])
+        (data / "000000_depth.pgm").write_bytes(b"P5\n16 16\n1000\n" + b"\x03\xe9" * 256)
+        code = main(["eval", *TOY_FLAGS, "--data", str(data)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "000000_depth.pgm: a sample exceeds maxval 1000" in err
         assert "Traceback" not in err
 
     def test_write_error_without_a_file_name_names_out(self, tmp_path, dataset, capsys,

@@ -188,6 +188,10 @@ def _reference_read_pnm(path, expect_magic):
     if len(raster) != need:
         raise FormatError(f"{path}: raster is {len(raster)} bytes, need {need}", offset=pos)
     arr = np.frombuffer(raster, dtype=">u2" if maxval > 255 else np.uint8)
+    over = np.flatnonzero(arr > maxval)
+    if over.size:
+        raise FormatError(f"{path}: a sample exceeds maxval {maxval}",
+                          offset=pos + int(over[0]) * arr.itemsize)
     return arr.reshape((h, w, 3) if channels == 3 else (h, w)), maxval
 
 
@@ -244,6 +248,24 @@ class TestNetpbm:
         path.write_bytes(b"P5\n2 2\n%d\n" % maxval + bytes(8))
         with pytest.raises(FormatError):
             _read_pnm(str(path), "P5")
+
+    @pytest.mark.parametrize("magic, maxval, samples", [
+        ("P6", 100, [0, 0, 0, 12, 101, 0]),        # 8-bit RGB
+        ("P6", 1000, [0, 0, 0, 0, 1001, 0]),       # 16-bit RGB
+        ("P5", 1000, [7, 1001]),                   # 16-bit depth
+        ("P5", 3, [3, 4]),                         # 8-bit label
+    ], ids=["rgb8", "rgb16", "depth16", "label8"])
+    def test_sample_above_maxval_rejected(self, tmp_path, magic, maxval, samples):
+        """A sample above the header's maxval would read above 1.0; the
+        offset is the first such sample's."""
+        path = tmp_path / "over.pnm"
+        header = f"{magic}\n{len(samples) // (3 if magic == 'P6' else 1)} 1\n{maxval}\n"
+        dtype = ">u2" if maxval > 255 else np.uint8
+        path.write_bytes(header.encode() + np.array(samples, dtype).tobytes())
+        with pytest.raises(FormatError, match=f"a sample exceeds maxval {maxval}") as err:
+            _read_pnm(str(path), magic)
+        first = samples.index(maxval + 1) * np.dtype(dtype).itemsize
+        assert err.value.offset == len(header) + first
 
     @settings(max_examples=200, deadline=None)
     @given(magic=st.sampled_from([b"P5", b"P6", b"P4", b""]),

@@ -5,8 +5,8 @@ import pytest
 
 from surgdepth import tensor as T
 from surgdepth.errors import ShapeError
-from surgdepth.fusion import (FusionBlock, TokenGrid, attention_oracle,
-                              grid_from_chw)
+from surgdepth.fusion import FusionBlock, TokenGrid, grid_from_chw
+from surgdepth.oracles import attention_oracle
 from surgdepth.rng import make_rng
 
 

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there or re-exported, and
-the package imports nothing beyond NumPy at run time.
+"""Every name a package module imports is used there or re-exported, the
+package imports nothing beyond NumPy at run time, and only the one writer
+opens files for writing.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: a name bound by ``import`` or ``from ... import`` must appear as a
@@ -61,3 +62,37 @@ def test_runtime_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# (module, top-level function) allowed to open( a file for writing: the one
+# writer, and train()'s metrics.jsonl, streamed so an aborted run keeps its lines.
+WRITE_OPENS = {("data.py", "_open_output"), ("train.py", "train")}
+
+
+def _write_opens(tree):
+    """(top-level name, line) of each open( call whose mode may write: one
+    holding w, a, x or +, or one not spelled as a literal."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is not None and (not isinstance(mode, ast.Constant)
+                                     or set(str(mode.value)) & set("wax+")):
+                yield getattr(top, "name", None), node.lineno
+
+
+def test_write_open_finder():
+    code = ("def f(p, m):\n    open(p)\n    open(p, 'rb')\n    open(p, 'w')\n"
+            "    open(p, mode='ab')\n    open(p, m)\n")
+    assert [line for _, line in _write_opens(ast.parse(code))] == [4, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_writer_opens_files_for_writing(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [f"{path.name}:{line}: open( for writing in {name}"
+             for name, line in _write_opens(tree) if (path.name, name) not in WRITE_OPENS]
+    assert not stray, "write through data._open_output:\n" + "\n".join(stray)
