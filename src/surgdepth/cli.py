@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import sys
+import typing
 from dataclasses import fields
 
 from .checkpoint import load_model, save_model
@@ -41,7 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in fields(ModelConfig)}
+# ModelConfig field -> the type of its annotation; fusion_dim's int | None reads as int
+_CONFIG_FIELDS = {f.name: (typing.get_args(f.type) or (f.type,))[0] for f in fields(ModelConfig)}
 
 
 def read_config_file(path):
@@ -62,19 +64,11 @@ def read_config_file(path):
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            _coerce(key, value)
+            _CONFIG_FIELDS[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
         overrides[key] = value
     return overrides
-
-
-def _coerce(key, value):
-    if key == "decoder_input":
-        return str(value)
-    if key in ("lr", "weight_decay"):
-        return float(value)
-    return int(value)
 
 
 def make_model_config(args):
@@ -88,7 +82,7 @@ def make_model_config(args):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
-    return ModelConfig(**{k: _coerce(k, v) for k, v in overrides.items()}).validate()
+    return ModelConfig(**{k: _CONFIG_FIELDS[k](v) for k, v in overrides.items()}).validate()
 
 
 def cmd_gen_data(args):
@@ -114,13 +108,12 @@ def _load_dataset_for(cfg, directory):
 def cmd_train(args):
     cfg = make_model_config(args)
     check_max_steps(args.max_steps)   # before --out is created
+    os.makedirs(args.out, exist_ok=True)
     ckpt = os.path.join(args.out, "best.ckpt")
     metrics = os.path.join(args.out, "metrics.jsonl")
-    if os.path.exists(args.out):
-        for path in (ckpt, metrics):
-            _check_out_file(path)
-    train_s, val_s = _load_dataset_for(cfg, args.data)   # a bad dataset leaves no --out
-    os.makedirs(args.out, exist_ok=True)
+    for path in (ckpt, metrics):
+        _check_out_file(path)
+    train_s, val_s = _load_dataset_for(cfg, args.data)
     model = build_model(cfg)
     if cfg.epochs == 0 or args.max_steps == 0:
         save_model(ckpt, model)
@@ -279,9 +272,9 @@ def main(argv=None):
         print(f"bad input file: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
-        # Inputs open through data._open_input or read_config_file, so an
-        # OSError here is a write; one naming no file is a write() to --out.
-        path = exc.filename2 or exc.filename or getattr(args, "out", None)
+        # Inputs open through data._open_input or read_config_file, so this is a write
+        # that data._open_output names, or a write() to train()'s metrics.jsonl.
+        path = exc.filename or getattr(args, "out", None)
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,13 +9,14 @@ regions use one distinct color per class.
 """
 
 import contextlib
+import errno
 import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, FormatError, UsageError
+from .errors import DataError, FormatError
 from .losses import IGNORE_INDEX
 
 AMBIGUOUS_COLOR = (0.55, 0.55, 0.55)
@@ -277,27 +278,33 @@ def _open_input(path):
 
 
 def _check_out_file(path):
-    """UsageError unless ``path`` is a file name in an existing directory."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-        raise UsageError(f"cannot write {path}: not a file in an existing directory")
+    """IsADirectoryError naming ``path`` if it is a directory; the OS refuses the rest."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
 
 
 @contextlib.contextmanager
 def _open_output(path, mode="wb", newline=None):
     """Yield ``<path>.tmp`` open for writing; it replaces ``path`` when the
     block completes and is removed on any failure, so ``path`` keeps its old
-    bytes. A directory or missing parent at ``path`` (UsageError) or a name
-    the OS refuses fails on entry, before the block does any work."""
-    _check_out_file(path)
+    bytes. A directory or a name the OS refuses fails on entry, before any
+    work. An OSError naming the temporary file or no file is re-raised naming
+    ``path``; one naming another file (a raster written in the block) passes."""
     tmp = os.fspath(path) + ".tmp"
-    fh = open(tmp, mode, newline=newline)
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        _check_out_file(path)
+        fh = open(tmp, mode, newline=newline)
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        if exc.filename in (None, tmp):
+            exc.strerror, exc.filename = exc.strerror or str(exc), os.fspath(path)
+        raise
 
 
 # Whitespace and "#" comments to the end of their line, then a token.

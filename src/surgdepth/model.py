@@ -81,7 +81,7 @@ class Model(Module):
     """RGB and depth patch embeddings, fusion block, ViT encoder, decoder.
 
     Weights are drawn on first use. The build records every random init;
-    the first ``forward``, ``named_parameters``/``parameters`` or
+    the first call, ``named_parameters``/``parameters`` or
     ``state_dict`` replays the records from ``make_rng(cfg.seed)``, which
     gives the same values, bit for bit, as drawing them during the build.
     A load that replaces every parameter before that (``load_state_dict``,
@@ -108,7 +108,7 @@ class Model(Module):
         if dtype != np.float32:
             self.astype(dtype)
 
-    def forward(self, rgb, depth, baseline_rgb_only=False):
+    def __call__(self, rgb, depth, baseline_rgb_only=False):
         """rgb (3,H,W), depth (1,H,W) -> logits (num_classes, H, W).
 
         baseline_rgb_only zeroes the depth input and feeds the RGB grid
@@ -134,8 +134,6 @@ class Model(Module):
         else:
             dec_in = T.concat([rgb_tokens, depth_tokens], axis=1)
         return self.decoder(dec_in, cfg.grid_h, cfg.grid_w, cfg.image_h, cfg.image_w)
-
-    __call__ = forward
 
     def _materialize(self):
         if self._init.draws:

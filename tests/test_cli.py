@@ -177,6 +177,20 @@ class TestConfigFile:
                         np.zeros((1, cfg.image_h, cfg.image_w), np.float32))
         assert out.shape == (cfg.num_classes, cfg.image_h, cfg.image_w)
 
+    def test_every_field_reads_as_its_annotated_type(self, tmp_path):
+        """A config file setting every field gives each value the type of its
+        field's annotation, ``int | None`` read as int: lr=1 is the float 1.0."""
+        path = tmp_path / "cfg.txt"
+        values = {**{k: v[0] for k, v in _GOOD_CONFIG.items()}, "lr": "1", "fusion_dim": "3"}
+        path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        cfg = make_model_config(argparse.Namespace(config=str(path)))
+        kinds = {int: int, int | None: int, float: float, str: str}
+        for f in fields(ModelConfig):
+            value = getattr(cfg, f.name)
+            assert type(value) is kinds[f.type], (f.name, value)
+            assert value == kinds[f.type](values[f.name])
+        assert (cfg.lr, cfg.fusion_dim, cfg.decoder_input) == (1.0, 3, "rgb_only")
+
     def test_parse_values_and_comments(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\nlr = 0.5\nbatch_size=4\n\n")
@@ -415,11 +429,12 @@ class TestTrainEval:
         """An output the OS refuses exits 64 with no traceback, names the
         refused file and is refused before any evaluation, training or
         raster write: a directory where a file is written, a name longer
-        than the file system allows, or a name under a regular file."""
+        than the file system allows, or a name under a regular file. The
+        message names the refused file itself, not its temporary file."""
         def no_work(*args, **kwargs):
             raise AssertionError(f"{command} ran with a refused output")
 
-        for name in ("evaluate", "ablate_decoder_depth", "train"):
+        for name in ("load_dataset", "evaluate", "ablate_decoder_depth", "train"):
             monkeypatch.setattr(f"surgdepth.cli.{name}", no_work)
         out = refused = tmp_path / ("x" * 300)
         if case == "a-directory":   # --out itself for a file output
@@ -432,15 +447,16 @@ class TestTrainEval:
         code = main(_out_command(command, dataset, out))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE, err
-        assert f"cannot write {refused}" in err
+        assert f"cannot write {refused}:" in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.p?m"))
 
     @pytest.mark.parametrize("command", ["eval", "ablate", "gen-data"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, dataset, capsys,
                                                   monkeypatch, command):
-        """An OSError(ENOSPC) partway through an output exits 64, and leaves
-        the previous file byte for byte and no temporary file."""
+        """An OSError(ENOSPC) partway through an output exits 64 naming that
+        output, and leaves the previous file byte for byte and no temporary
+        file."""
         out = tmp_path / {"eval": "eval.json", "ablate": "t.csv", "gen-data": "data"}[command]
         target = out / "manifest.txt" if command == "gen-data" else out
         target.parent.mkdir(exist_ok=True)
@@ -474,7 +490,8 @@ class TestTrainEval:
         code = main(_out_command(command, dataset, out))
         err = capsys.readouterr().err
         assert code == EXIT_USAGE, err
-        assert os.strerror(errno.ENOSPC) in err and "Traceback" not in err
+        assert err.startswith(f"error: cannot write {target}: {os.strerror(errno.ENOSPC)}")
+        assert "Traceback" not in err
         assert target.read_bytes() == b"previous\n"
         assert not list(tmp_path.rglob("*.tmp"))
 

@@ -1,6 +1,6 @@
 """Every name a package module imports is used there or re-exported, the
 package imports nothing beyond NumPy at run time, and only the one writer
-opens files for writing.
+opens files for writing, replaces or removes them, or names a refused one.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree: a name bound by ``import`` or ``from ... import`` must appear as a
@@ -96,3 +96,53 @@ def test_only_the_writer_opens_files_for_writing(path):
     stray = [f"{path.name}:{line}: open( for writing in {name}"
              for name, line in _write_opens(tree) if (path.name, name) not in WRITE_OPENS]
     assert not stray, "write through data._open_output:\n" + "\n".join(stray)
+
+
+def _is_cannot_write(node):
+    """A string literal or f-string that starts with "cannot write"."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.startswith("cannot write"))
+
+
+REFUSAL = 'UsageError("cannot write ...")'   # raised by no function, the writer included
+
+
+def _writer_steps(tree):
+    """(top-level name, line, what) of each step left to the writer (an
+    os.replace, os.rename, os.unlink or os.remove call, a ".tmp" string)
+    and of each UsageError whose message starts with "cannot write"."""
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                    and node.func.attr in ("replace", "rename", "unlink", "remove")):
+                yield name, node.lineno, f"os.{node.func.attr}"
+            elif isinstance(node, ast.Constant) and node.value == ".tmp":
+                yield name, node.lineno, '".tmp"'
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "UsageError" and node.args
+                  and _is_cannot_write(node.args[0])):
+                yield name, node.lineno, REFUSAL
+
+
+def test_writer_step_finder():
+    code = ("def f(p):\n    os.replace(p, p)\n    os.rename(p, p)\n    os.unlink(p)\n"
+            "    os.remove(p)\n    q = p + '.tmp'\n    r = f'{p}.tmp'\n    s = 'a.tmpl'\n"
+            "    raise UsageError(f'cannot write {p}: no')\n"
+            "    raise UsageError('cannot write here')\n    raise UsageError(f'{p}: bad')\n")
+    found = sorted(line for _, line, _ in _writer_steps(ast.parse(code)))
+    assert found == [2, 3, 4, 5, 6, 7, 9, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_writer_replaces_and_names_outputs(path):
+    """Only data._open_output renames, removes or names a temporary file, and
+    no module raises its own UsageError for an output the OS refuses."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stray = [f"{path.name}:{line}: {what} in {name}"
+             for name, line, what in _writer_steps(tree)
+             if (path.name, name) != ("data.py", "_open_output") or what == REFUSAL]
+    assert not stray, "leave these to data._open_output:\n" + "\n".join(stray)
