@@ -4,9 +4,9 @@ Subcommands: gen-data, train, eval, ablate, verify, param-count.
 Config precedence: built-in defaults < config file (key=value lines,
 # comments) < command-line flags.
 
-Exit codes: 0 success, 1 verification failure, 2 numeric abort,
-3 config/checkpoint mismatch, 64 usage error or refused output, 65 bad
-input data (FormatError or DataError from a checkpoint or dataset).
+Exit codes: 0 success, 1 verification failure, 2 numeric abort, 3 config
+mismatch (checkpoint, dataset class count or image size), 64 usage error,
+refused output or out of memory, 65 bad checkpoint or dataset file.
 """
 
 import argparse
@@ -98,10 +98,15 @@ def cmd_gen_data(args):
 
 
 def _load_dataset_for(cfg, directory):
-    """(train, val) samples of a dataset whose class count matches cfg."""
+    """(train, val) samples of a dataset whose class count and image size match cfg."""
     train_s, val_s, k = load_dataset(directory)
     if k != cfg.num_classes:
         raise ConfigError(f"dataset has {k} classes, config {cfg.num_classes}")
+    for sample in train_s + val_s:
+        h, w = sample.label.shape
+        if (h, w) != (cfg.image_h, cfg.image_w):
+            raise ConfigError(f"dataset image size {h}x{w} differs from the config's "
+                              f"{cfg.image_h}x{cfg.image_w}")
     return train_s, val_s
 
 
@@ -276,6 +281,9 @@ def main(argv=None):
         # that data._open_output names, or a write() to train()'s metrics.jsonl.
         path = exc.filename or getattr(args, "out", None)
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:   # NumPy's text names the shape and the GiB
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

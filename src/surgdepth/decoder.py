@@ -45,7 +45,6 @@ class ConvNeXtBlock(Module):
     """Residual block: depthwise 7x7 conv, layer norm, 4x pointwise MLP."""
 
     def __init__(self, dim, rng):
-        self.dim = dim
         self.dwconv = Conv2d(dim, dim, 7, padding=3, groups=dim, rng=rng)
         self.norm = LayerNorm(dim)
         self.pw1 = Linear(dim, 4 * dim, rng=rng)
@@ -53,8 +52,6 @@ class ConvNeXtBlock(Module):
 
     def __call__(self, x):
         d, h, w = x.shape
-        if d != self.dim:
-            raise ShapeError(f"expected {self.dim} channels, got {d}")
         y = self.dwconv(x)
         y = T.reshape(T.permute(y, (1, 2, 0)), (h * w, d))  # channels-last
         y = self.pw2(T.gelu(self.pw1(self.norm(y))))
@@ -63,7 +60,7 @@ class ConvNeXtBlock(Module):
 
 
 class Decoder(Module):
-    """Expand -> pixel-shuffle reshape -> ConvNeXt blocks -> 1x1 head -> upsample."""
+    """Expand -> pixel-shuffle -> ConvNeXt blocks -> 1x1 head -> upsample to patch*(h, w)."""
 
     def __init__(self, in_dim, patch, num_classes, rng, n_blocks=4):
         if in_dim % 8:
@@ -78,13 +75,10 @@ class Decoder(Module):
                        for _ in range(n_blocks)]
         self.head = Conv2d(self.grid_dim, num_classes, 1, rng=rng)
 
-    def __call__(self, tokens, h, w, out_h, out_w):
-        if out_h != self.patch * h or out_w != self.patch * w:
-            raise ShapeError(
-                f"output {out_h}x{out_w} inconsistent with {h}x{w} tokens at patch {self.patch}")
+    def __call__(self, tokens, h, w):
         x = self.expand(tokens)
         grid = tokens_to_grid(x, h, w, self.patch)  # (D/8, H/4, W/4)
         for block in self.blocks:
             grid = block(grid)
         logits = self.head(grid)
-        return T.bilinear_resize(logits, out_h, out_w)
+        return T.bilinear_resize(logits, self.patch * h, self.patch * w)

@@ -21,14 +21,10 @@ class PatchEmbed(Module):
     """Non-overlapping patch projection: a single strided convolution."""
 
     def __init__(self, in_channels, embed_dim, patch, rng):
-        self.patch = patch
         self.conv = Conv2d(in_channels, embed_dim, patch, stride=patch,
                            rng=rng)
 
     def __call__(self, img):
-        _, h, w = img.shape
-        if h % self.patch or w % self.patch:
-            raise ShapeError(f"image {h}x{w} not divisible by patch {self.patch}")
         return grid_from_chw(self.conv(img))
 
 

@@ -133,7 +133,7 @@ class Model(Module):
             dec_in = rgb_tokens
         else:
             dec_in = T.concat([rgb_tokens, depth_tokens], axis=1)
-        return self.decoder(dec_in, cfg.grid_h, cfg.grid_w, cfg.image_h, cfg.image_w)
+        return self.decoder(dec_in, cfg.grid_h, cfg.grid_w)
 
     def _materialize(self):
         if self._init.draws:

@@ -99,8 +99,10 @@ import numpy as np
 
 from .errors import NumericError, ShapeError, UsageError
 
+_MALLOC_THRESHOLD = 256 << 20   # bytes
 
-def _pin_malloc_thresholds(nbytes=256 << 20):
+
+def _pin_malloc_thresholds():
     """Keep glibc from handing freed forward buffers back to the OS.
 
     By default glibc raises its mmap threshold as large blocks are freed
@@ -111,15 +113,15 @@ def _pin_malloc_thresholds(nbytes=256 << 20):
     straight into the model, each forward re-faulted about 120K pages
     (``ru_minflt``) and ran about 10% slower on a 2-vCPU VM. With both
     thresholds fixed, forwards after the first fault no pages, at the
-    price of keeping up to ``nbytes`` of freed heap resident.
+    price of keeping up to ``_MALLOC_THRESHOLD`` bytes of freed heap resident.
     """
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3
-    mallopt(m_mmap_threshold, nbytes)
-    mallopt(m_trim_threshold, nbytes)
+    mallopt(m_mmap_threshold, _MALLOC_THRESHOLD)
+    mallopt(m_trim_threshold, _MALLOC_THRESHOLD)
 
 
 _pin_malloc_thresholds()
@@ -574,9 +576,7 @@ def _col2im(cols, c, h, w, kh, kw, stride, padding, ho, wo):
     for i in range(kh):
         for j in range(kw):
             xp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, i, j]
-    if padding:
-        return xp[:, padding:-padding, padding:-padding]
-    return xp
+    return xp[:, padding:padding + h, padding:padding + w]
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0, groups=1):

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import surgdepth
 from surgdepth import tensor as T
 from surgdepth.checkpoint import load_checkpoint
 from surgdepth.cli import (EXIT_DATA, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE,
@@ -328,6 +331,36 @@ class TestTrainEval:
                      "--data", dataset, *extra[command]])
         assert code == EXIT_MISMATCH
         assert "dataset has 4 classes, config 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_image_size_mismatch_exits_3(self, tmp_path, dataset, capsys, command):
+        """A 16x16 dataset under a 32x32 config exits 3 before a model is built,
+        so train writes no metrics.jsonl."""
+        out = tmp_path / "out"
+        code = main([*_out_command(command, dataset, out), "--size", "32"])
+        assert code == EXIT_MISMATCH
+        err = capsys.readouterr().err
+        assert "dataset image size 16x16 differs from the config's 32x32" in err
+        assert "Traceback" not in err
+        assert not (out / "metrics.jsonl").exists()
+
+    def test_size_that_does_not_fit_in_memory_exits_64(self, tmp_path):
+        """A 200000x200000 image asks NumPy for 447 GiB. The child runs under
+        an address-space limit, so the allocation fails at once on any machine."""
+        pytest.importorskip("resource")
+        argv = ["gen-data", "--n", "1", "--size", "200000", "--out", str(tmp_path / "big")]
+        code = ("import resource, sys\n"
+                "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))\n"
+                "from surgdepth.cli import main\n"
+                f"sys.exit(main({argv!r}))\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(surgdepth.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert "out of memory: Unable to allocate 447. GiB" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_manifest_exits_65(self, tmp_path, capsys):
         data = tmp_path / "data"

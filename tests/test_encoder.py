@@ -25,8 +25,9 @@ class TestPatchEmbed:
 
     def test_rejects_indivisible_image(self):
         pe = PatchEmbed(3, 16, 4, rng=make_rng(0))
-        with pytest.raises(ShapeError):
-            pe(T.Tensor(np.zeros((3, 10, 8), np.float32)))
+        for h, w in ((10, 8), (8, 10)):
+            with pytest.raises(ShapeError):
+                pe(T.Tensor(np.zeros((3, h, w), np.float32)))
 
     def test_each_token_sees_only_its_patch(self):
         """Perturbing one patch changes exactly one token."""
