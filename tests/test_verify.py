@@ -11,11 +11,15 @@ def test_toy_suite_passes_and_logs_one_line_per_check():
 
 
 def test_sabotaged_bilinear_is_detected():
-    """The sabotaged kernel fails a check, and the hook is off after the run."""
     lines = []
     assert not run_checks(config="toy", sabotage="bilinear_resize",
                           log=lines.append)
     assert any(line.startswith("[FAIL]") for line in lines)
+
+
+def test_sabotage_hook_is_restored_after_run():
+    from surgdepth import tensor as T
+    run_checks(config="toy", sabotage="bilinear_resize", log=lambda _: None)
     assert T._SABOTAGE is None
 
 
