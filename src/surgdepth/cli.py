@@ -47,7 +47,7 @@ _CONFIG_FIELDS = {f.name: (typing.get_args(f.type) or (f.type,))[0] for f in fie
 
 
 def read_config_file(path):
-    """Parse key=value lines into a dict of ModelConfig overrides (as strings)."""
+    """Parse key=value lines into a dict of typed ModelConfig overrides."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -64,10 +64,9 @@ def read_config_file(path):
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            _CONFIG_FIELDS[key](value)
+            overrides[key] = _CONFIG_FIELDS[key](value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
-        overrides[key] = value
     return overrides
 
 
@@ -82,7 +81,7 @@ def make_model_config(args):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
-    return ModelConfig(**{k: _CONFIG_FIELDS[k](v) for k, v in overrides.items()}).validate()
+    return ModelConfig(**overrides).validate()
 
 
 def cmd_gen_data(args):

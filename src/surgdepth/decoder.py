@@ -8,33 +8,26 @@ upsampling restores full resolution.
 """
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .nn import Conv2d, LayerNorm, Linear, Module
 
 
-def tokens_to_grid(tokens, h, w, p):
-    """(h*w, E) tokens -> (c, h*t, w*t) grid with t = p/4, c = E/t^2.
+def tokens_to_grid(tokens, h, w, t):
+    """(h*w, E) tokens -> (c, h*t, w*t) grid with tile side t, c = E/t^2.
 
     Each token vector is read as a t x t row-major tile with the channel
     index fastest; the inverse (grid_to_tokens) recovers it bit-exactly.
+    A token count other than h*w or a width other than t*t*c fails in
+    the reshape with NumPy's ValueError.
     """
-    if p % 4:
-        raise ConfigError(f"patch size {p} must be divisible by 4")
-    t = p // 4
-    n, e = tokens.shape
-    if n != h * w:
-        raise ShapeError(f"token count {n} != {h}x{w}")
-    if e % (t * t):
-        raise ConfigError(f"token width {e} not divisible by tile area {t * t}")
-    c = e // (t * t)
+    c = tokens.shape[1] // (t * t)
     x = T.reshape(tokens, (h, w, t, t, c))
     x = T.permute(x, (4, 0, 2, 1, 3))  # (c, h, t, w, t)
     return T.reshape(x, (c, h * t, w * t))
 
 
-def grid_to_tokens(grid, h, w, p):
+def grid_to_tokens(grid, h, w, t):
     """Inverse of tokens_to_grid."""
-    t = p // 4
     c = grid.shape[0]
     x = T.reshape(grid, (c, h, t, w, t))
     x = T.permute(x, (1, 3, 2, 4, 0))  # (h, w, t, t, c)
@@ -63,12 +56,13 @@ class Decoder(Module):
     """Expand -> pixel-shuffle -> ConvNeXt blocks -> 1x1 head -> upsample to patch*(h, w)."""
 
     def __init__(self, in_dim, patch, num_classes, rng, n_blocks=4):
+        # a Decoder built outside Model would otherwise floor its width silently
         if in_dim % 8:
             raise ConfigError(f"decoder input dim {in_dim} must be divisible by 8")
         if patch % 4:
             raise ConfigError(f"patch size {patch} must be divisible by 4")
         self.patch = patch
-        t = patch // 4
+        self.t = t = patch // 4
         self.grid_dim = in_dim // 8
         self.expand = Linear(in_dim, t * t * self.grid_dim, rng=rng)
         self.blocks = [ConvNeXtBlock(self.grid_dim, rng=rng)
@@ -77,7 +71,7 @@ class Decoder(Module):
 
     def __call__(self, tokens, h, w):
         x = self.expand(tokens)
-        grid = tokens_to_grid(x, h, w, self.patch)  # (D/8, H/4, W/4)
+        grid = tokens_to_grid(x, h, w, self.t)  # (D/8, H/4, W/4)
         for block in self.blocks:
             grid = block(grid)
         logits = self.head(grid)

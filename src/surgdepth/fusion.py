@@ -70,15 +70,13 @@ class FusionBlock(Module):
         q_tokens = grid_from_chw(pooled).tokens                      # (k^2, 2C)
         return self.fc_q(q_tokens)
 
-    def __call__(self, x_rgb, x_depth, query_depth=None):
+    def __call__(self, x_rgb, x_depth):
         """Fuse the two streams; returns updated (rgb, depth) TokenGrids.
 
-        query_depth substitutes the depth grid used for query building
-        only (the RGB-only baseline feeds the RGB grid here twice).
+        ``make_query`` raises ShapeError unless both share (h, w, channels).
         """
-        self._check(x_rgb, x_depth)
+        q = self.make_query(x_rgb, x_depth)
         h, w = x_rgb.h, x_rgb.w
-        q = self.make_query(x_rgb, x_depth if query_depth is None else query_depth)
         k_mat = self.fc_k(x_rgb.tokens)   # (h*w, C_d)
         v = self.fc_v(x_rgb.tokens)       # (h*w, C_d)
         ctx = T.attention(q, k_mat, v)    # (k^2, C_d)

@@ -108,11 +108,11 @@ class Model(Module):
         if dtype != np.float32:
             self.astype(dtype)
 
-    def __call__(self, rgb, depth, baseline_rgb_only=False):
+    def __call__(self, rgb, depth):
         """rgb (3,H,W), depth (1,H,W) -> logits (num_classes, H, W).
 
-        baseline_rgb_only zeroes the depth input and feeds the RGB grid
-        twice to the fusion query: the depth-blind control model.
+        A depth-blind control is this model fed all-zero depth: the depth
+        embedding is then a constant, so the logits depend on RGB alone.
         """
         self._materialize()
         cfg = self.cfg
@@ -122,12 +122,9 @@ class Model(Module):
             raise ShapeError(f"expected rgb (3,{cfg.image_h},{cfg.image_w}), got {rgb.shape}")
         if depth.shape != (1, cfg.image_h, cfg.image_w):
             raise ShapeError(f"expected depth (1,{cfg.image_h},{cfg.image_w}), got {depth.shape}")
-        if baseline_rgb_only:
-            depth = T.as_tensor(np.zeros_like(depth.data))
         g_rgb = self.patch_embed_rgb(rgb)
         g_depth = self.patch_embed_depth(depth)
-        g_rgb, g_depth = self.fusion(g_rgb, g_depth,
-                                     query_depth=g_rgb if baseline_rgb_only else None)
+        g_rgb, g_depth = self.fusion(g_rgb, g_depth)
         rgb_tokens, depth_tokens = self.encoder(g_rgb, g_depth)
         if cfg.decoder_input == "rgb_only":
             dec_in = rgb_tokens

@@ -32,13 +32,13 @@ class TrainResult:
     wall_seconds: float = 0.0
 
 
-def evaluate(model, samples, baseline_rgb_only=False):
+def evaluate(model, samples):
     if not samples:
         raise DataError("empty evaluation set")
     acc = ConfusionAccumulator(model.cfg.num_classes)
     with T.no_grad():
         for s in samples:
-            logits = model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only)
+            logits = model(s.rgb, s.depth)
             pred = logits.data.argmax(axis=0).astype(np.int32)
             acc.add(pred, s.label)
     return acc.report()
@@ -62,8 +62,7 @@ def check_max_steps(max_steps):
 
 
 def train(model, train_samples, val_samples, cfg, *, max_steps=None,
-          use_augment=True, baseline_rgb_only=False, metrics_path=None,
-          ckpt_path=None, log=None):
+          use_augment=True, metrics_path=None, ckpt_path=None, log=None):
     """Seeded minibatch training; returns a TrainResult.
 
     When ckpt_path is given, the checkpoint is written there each time an
@@ -99,8 +98,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
             if use_augment:
                 s = augment(s, rng)
             try:
-                loss = cross_entropy_loss(
-                    model(s.rgb, s.depth, baseline_rgb_only=baseline_rgb_only), s.label)
+                loss = cross_entropy_loss(model(s.rgb, s.depth), s.label)
             except NumericError as e:
                 raise NumericError(f"{e} {_at_step(step, done, cfg.lr, opt)}") from e
             if not np.isfinite(loss.data):
@@ -132,8 +130,7 @@ def train(model, train_samples, val_samples, cfg, *, max_steps=None,
                     log(f"step {step} loss {loss_val:.4f}")
                 if max_steps is not None and step >= max_steps:
                     break
-            report = evaluate(model, val_samples if val_samples else train_samples,
-                              baseline_rgb_only=baseline_rgb_only)
+            report = evaluate(model, val_samples if val_samples else train_samples)
             result.val_history.append((epoch, report.mean_iou))
             if metrics_fh:
                 metrics_fh.write(json.dumps(

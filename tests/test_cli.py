@@ -197,7 +197,7 @@ class TestConfigFile:
     def test_parse_values_and_comments(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# comment\nlr = 0.5\nbatch_size=4\n\n")
-        assert read_config_file(str(path)) == {"lr": "0.5", "batch_size": "4"}
+        assert read_config_file(str(path)) == {"lr": 0.5, "batch_size": 4}
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "cfg.txt"

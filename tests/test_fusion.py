@@ -90,24 +90,21 @@ def test_attention_rows_sum_to_one():
     np.testing.assert_allclose(attn.data.sum(axis=-1), 1.0, atol=1e-5)
 
 
-def test_query_substitution_changes_output():
-    """Swapping the query-side depth grid alters the result (the RGB-only
-    baseline relies on this hook)."""
-    rng = make_rng(6)
-    block = FusionBlock(8, k=3, rng=rng)
-    gr, gd = _grids(rng)
-    orr, _ = block(gr, gd)
-    orr2, _ = block(gr, gd, query_depth=gr)
-    assert not np.allclose(orr.tokens.data, orr2.tokens.data)
-
-
-def test_rejects_mismatched_grids():
+@pytest.mark.parametrize("rgb_hwc, depth_hwc", [
+    ((6, 6, 8), (4, 4, 8)),   # (h, w) mismatch
+    ((6, 6, 8), (6, 6, 4)),   # depth channel mismatch
+    ((6, 6, 4), (6, 6, 4)),   # both streams at the wrong block width
+    ((6, 6, 12), (6, 6, 4)),  # channels sum to 2C, which concat and fc_q accept
+], ids=["hw", "depth-channels", "block-width", "channels-sum-to-2c"])
+def test_rejects_mismatched_grids(rgb_hwc, depth_hwc):
     rng = make_rng(7)
     block = FusionBlock(8, k=3, rng=rng)
-    gr, _ = _grids(rng, h=6, w=6)
-    gd, _ = _grids(rng, h=4, w=4)
+    gr, _ = _grids(rng, *rgb_hwc)
+    gd, _ = _grids(rng, *depth_hwc)
     with pytest.raises(ShapeError):
         block(gr, gd)
+    with pytest.raises(ShapeError):
+        block.make_query(gr, gd)
 
 
 def test_rejects_pool_larger_than_grid():

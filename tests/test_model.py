@@ -73,17 +73,13 @@ def test_config_validation():
         ModelConfig(fusion_k=9).validate()          # exceeds 8x8 token grid
 
 
-def test_baseline_flag_ignores_depth():
-    """With baseline_rgb_only the prediction cannot depend on depth."""
+def test_logits_depend_on_depth():
+    """A fused model's prediction changes when only the depth changes."""
     cfg = _toy_cfg()
     model = build_model(cfg)
     rgb, depth = _inputs(cfg)
     other_depth = make_rng(99).random(depth.shape).astype(np.float32)
-    a = model(rgb, depth, baseline_rgb_only=True).data
-    b = model(rgb, other_depth, baseline_rgb_only=True).data
-    np.testing.assert_array_equal(a, b)
-    c = model(rgb, depth).data
-    assert not np.array_equal(a, c)
+    assert not np.array_equal(model(rgb, depth).data, model(rgb, other_depth).data)
 
 
 def test_state_dict_round_trip():

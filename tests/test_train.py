@@ -231,7 +231,7 @@ def test_checkpoint_written_when_an_epoch_becomes_best(tmp_path, monkeypatch):
     best epoch is written when it is scored."""
     mious = iter([0.5, 0.7, 0.7])
 
-    def scripted(model, samples, baseline_rgb_only=False):
+    def scripted(model, samples):
         miou = next(mious, None)
         if miou is None:
             raise NumericError("scripted abort")
